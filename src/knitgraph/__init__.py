@@ -56,7 +56,12 @@ from .feasibility import (
     format_role_set,
     red_config_allowed,
 )
-from .flows import FlowNetwork, solve_flow_with_bounds, solve_minimum_flow
+from .flows import (
+    FlowNetwork,
+    solve_flow_range,
+    solve_flow_with_bounds,
+    solve_minimum_flow,
+)
 from .cover import (
     OracleWitness,
     ThreadCover,
@@ -68,6 +73,7 @@ from .cover import (
     has_hamiltonian_path_dag,
     minimum_path_cover,
     sweep_feasible_k,
+    vertex_roles,
 )
 from .yarn import (
     Trail,

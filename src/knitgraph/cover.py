@@ -26,6 +26,7 @@ from .flows import (
     SPLIT,
     SUPER,
     FlowNetwork,
+    solve_flow_range,
     solve_flow_with_bounds,
     solve_minimum_flow,
 )
@@ -35,17 +36,43 @@ ThreadCover = tuple[tuple[int, ...], ...]
 EdgeColoring = dict[tuple[int, int], EdgeColor]
 
 
-def has_hamiltonian_path_dag(g: DirectedKnitGraph) -> list[int] | None:
-    """Topological order if consecutive vertices are joined by arcs, else None."""
+def _require_dag(g: DirectedKnitGraph) -> list[int]:
+    """Topological order of g; NotADagError when g has a cycle."""
     try:
-        order = topological_sort(g)
+        return topological_sort(g)
     except CycleDetectedError as exc:
         raise NotADagError(exc.cycle) from exc
+
+
+def has_hamiltonian_path_dag(g: DirectedKnitGraph) -> list[int] | None:
+    """Topological order if consecutive vertices are joined by arcs, else None."""
+    order = _require_dag(g)
     arcs = {(s, d) for s, d, _ in g.edges}
     for u, v in zip(order, order[1:]):
         if (u, v) not in arcs:
             return None
     return order
+
+
+def vertex_roles(
+    g: DirectedKnitGraph, rule: RedRule = RedRule.STRICT
+) -> list[frozenset[Role]]:
+    """Thread roles of every vertex under the rule, in vertex order.
+
+    Each distinct (indeg, outdeg) pair is classified once; knit graphs have
+    only a handful of them. Raises InfeasibleVertexError for the first
+    vertex that has no role.
+    """
+    by_degrees: dict[tuple[int, int], frozenset[Role]] = {}
+    roles = []
+    for v, degrees in enumerate(g.degrees()):
+        role = by_degrees.get(degrees)
+        if role is None:
+            role = by_degrees[degrees] = classify_vertex(*degrees, rule)
+        if not role:
+            raise InfeasibleVertexError(v, *degrees)
+        roles.append(role)
+    return roles
 
 
 def build_flow_network(
@@ -60,13 +87,7 @@ def build_flow_network(
     """
     if EdgeColor.PURPLE in g.colors():
         raise PurplePresentError()
-    roles = []
-    for v, (indeg, outdeg) in enumerate(g.degrees()):
-        role = classify_vertex(indeg, outdeg, rule)
-        if not role:
-            raise InfeasibleVertexError(v, indeg, outdeg)
-        roles.append(role)
-    return _assemble_network(g, k, roles, exact=True)
+    return _assemble_network(g, k, vertex_roles(g, rule), exact=True)
 
 
 def _assemble_network(
@@ -133,10 +154,7 @@ def decide_k_knittable(
     cover, or None when infeasible. Input colors are ignored; purple edges
     are rejected.
     """
-    try:
-        topological_sort(g)
-    except CycleDetectedError as exc:
-        raise NotADagError(exc.cycle) from exc
+    _require_dag(g)
     if EdgeColor.PURPLE in g.colors():
         raise PurplePresentError()
     if k < 0:
@@ -155,9 +173,31 @@ def decide_k_knittable(
 def sweep_feasible_k(
     g: DirectedKnitGraph, rule: RedRule = RedRule.STRICT, k_max: int | None = None
 ) -> list[int]:
-    """All thread counts in 1..k_max (default n) for which g is feasible."""
+    """All thread counts in 1..k_max (default n) for which g is feasible.
+
+    The exact-k network is the relaxed network (super arcs bounded by
+    [0, n]) with its throughput pinned to k. The feasible throughputs of a
+    network with integral bounds form an integer interval (Hoffman's
+    circulation theorem plus flow integrality; Ahuja, Magnanti & Orlin,
+    *Network Flows*, 1993, ch. 6), so the answer is contiguous and two flows
+    on the relaxed network find it, instead of one decision per k. Raises
+    NotADagError and PurplePresentError as `decide_k_knittable` does.
+    """
     top = g.n if k_max is None else k_max
-    return [k for k in range(1, top + 1) if decide_k_knittable(g, k, rule) is not None]
+    if top < 1:  # no k to try, so nothing is checked, as with one decision per k
+        return []
+    _require_dag(g)
+    if EdgeColor.PURPLE in g.colors():
+        raise PurplePresentError()
+    try:
+        roles = vertex_roles(g, rule)
+    except InfeasibleVertexError:
+        return []
+    bounds = solve_flow_range(_assemble_network(g, 0, roles, exact=False))
+    if bounds is None:
+        return []
+    least, greatest = bounds
+    return list(range(max(least, 1), min(greatest, top) + 1))
 
 
 def minimum_path_cover(g: DirectedKnitGraph) -> tuple[int, ThreadCover]:
@@ -167,10 +207,7 @@ def minimum_path_cover(g: DirectedKnitGraph) -> tuple[int, ThreadCover]:
     continue a path, and the super-arc bound is relaxed so the solver can
     shrink the path count to its minimum.
     """
-    try:
-        topological_sort(g)
-    except CycleDetectedError as exc:
-        raise NotADagError(exc.cycle) from exc
+    _require_dag(g)
     if g.n == 0:
         return 0, ()
     all_roles = frozenset({Role.S, Role.M, Role.T})

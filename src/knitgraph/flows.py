@@ -7,6 +7,14 @@ uses the standard lower-bound elimination to a max-flow problem; max flow
 itself is a Dinic scheme over flat CSR arrays so ~10^5-vertex graphs stay
 well inside the performance budget. All arc orders are fixed, so results
 are deterministic.
+
+Three solves share that machinery:
+
+- exact (`solve_flow_with_bounds`): any feasible circulation;
+- minimum (`solve_minimum_flow`): a feasible circulation of least
+  super-arc throughput;
+- range (`solve_flow_range`): the least and greatest super-arc throughput
+  over all feasible circulations.
 """
 
 from __future__ import annotations
@@ -219,12 +227,14 @@ def solve_flow_with_bounds(net: FlowNetwork) -> list[int] | None:
     return _collect_flows(net, dinic, arc_map)
 
 
-def solve_minimum_flow(net: FlowNetwork) -> tuple[int, list[int]] | None:
-    """Feasible circulation minimizing the super-arc throughput.
+def _feasible_frozen(net: FlowNetwork) -> tuple[_Dinic, list[int | None], int] | None:
+    """One feasibility max-flow, then the closure and helper arcs frozen.
 
-    Finds any feasible flow first, then cancels thread units by pushing
-    augmenting flow from the sink side back to the source side with the
-    closure and elimination arcs frozen. Returns (value, flows).
+    Returns (dinic, arc_map, value), where value is the super-arc
+    throughput of the feasible circulation found, or None when no feasible
+    circulation exists. The residual network left in `dinic` holds only the
+    arcs of `net`, so a max flow between the terminals now changes the
+    throughput while every bound stays respected.
     """
     dinic, arc_map, closure_id, helper_ids, required, ss, tt = _prepare(net)
     if dinic.max_flow(ss, tt) < required:
@@ -233,5 +243,41 @@ def solve_minimum_flow(net: FlowNetwork) -> tuple[int, list[int]] | None:
     dinic.disable_arc(closure_id)
     for a in helper_ids:
         dinic.disable_arc(a)
+    return dinic, arc_map, value
+
+
+def solve_minimum_flow(net: FlowNetwork) -> tuple[int, list[int]] | None:
+    """Feasible circulation minimizing the super-arc throughput.
+
+    Finds any feasible flow first, then cancels thread units by pushing
+    augmenting flow from the sink side back to the source side with the
+    closure and elimination arcs frozen. Returns (value, flows).
+    """
+    frozen = _feasible_frozen(net)
+    if frozen is None:
+        return None
+    dinic, arc_map, value = frozen
     value -= dinic.max_flow(net.t_out, net.s_in)
     return value, _collect_flows(net, dinic, arc_map)
+
+
+def solve_flow_range(net: FlowNetwork) -> tuple[int, int] | None:
+    """Least and greatest super-arc throughput of a feasible circulation.
+
+    With integral bounds, the throughputs of feasible integral circulations
+    form an integer interval (Hoffman's circulation theorem plus flow
+    integrality; Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 6), so
+    every value between the two returned ends is feasible as well. Costs one
+    feasibility max-flow plus two terminal max-flows from the same feasible
+    circulation: t_out -> s_in lowers it to the minimum, s_in -> t_out on the
+    restored residual raises it to the maximum. None when infeasible.
+    """
+    frozen = _feasible_frozen(net)
+    if frozen is None:
+        return None
+    dinic, _arc_map, value = frozen
+    feasible = dinic.cap.copy()
+    least = value - dinic.max_flow(net.t_out, net.s_in)
+    dinic.cap[:] = feasible
+    greatest = value + dinic.max_flow(net.s_in, net.t_out)
+    return least, greatest

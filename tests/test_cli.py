@@ -67,6 +67,12 @@ def test_decide_sweep(round33, capsys):
     assert 1 in json.loads(out)["feasible_k"]
 
 
+def test_decide_sweep_none_feasible_is_status_1(chain3, capsys):
+    code, out, _ = run(capsys, "decide", "--sweep", "--json", str(chain3))
+    assert code == 1
+    assert json.loads(out) == {"feasible_k": []}
+
+
 def test_missing_file_is_status_2(capsys):
     code, _, err = run(capsys, "convert", "--to", "dot", "/nonexistent/missing.json")
     assert code == 2

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_dags, disjoint_union, random_dag, relabel
 
@@ -18,17 +20,21 @@ from knitgraph import (
     brute_force_minimum_path_cover,
     build_flow_network,
     check_coloring,
+    classify_vertex,
     decide_k_knittable,
     extract_threads,
     gen_stitch_fixture,
     gen_stockinette,
     has_hamiltonian_path_dag,
     minimum_path_cover,
+    solve_flow_range,
     solve_flow_with_bounds,
     sweep_feasible_k,
     underlying_knitting_graph,
+    vertex_roles,
 )
-from knitgraph.flows import SPLIT, SUPER
+from knitgraph import cover as cover_module
+from knitgraph.flows import ORIGINAL, SINK, SOURCE, SPLIT, SUPER
 
 B, R, U = EdgeColor.BLUE, EdgeColor.RED, EdgeColor.UNCOLORED
 
@@ -274,3 +280,104 @@ def test_min_cover_matches_brute_force(rng):
     for _ in range(200):
         g = random_dag(rng, rng.randint(1, 7), rng.random() * 0.6)
         assert minimum_path_cover(g)[0] == brute_force_minimum_path_cover(g)[0]
+
+
+def _sweep_per_k(g, rule=RedRule.STRICT):
+    """The per-k sweep `sweep_feasible_k` replaced: one decision per k."""
+    return [k for k in range(1, g.n + 1) if decide_k_knittable(g, k, rule) is not None]
+
+
+@st.composite
+def small_dags(draw, max_n=12):
+    n = draw(st.integers(0, max_n))
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return DirectedKnitGraph(n, tuple((s, d, U) for (s, d), k in zip(pairs, keep) if k))
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_dags(), st.sampled_from(list(RedRule)))
+def test_sweep_equals_per_k_oracle_on_random_dags(g, rule):
+    assert sweep_feasible_k(g, rule) == _sweep_per_k(g, rule)
+
+
+@pytest.mark.parametrize("rule", list(RedRule))
+@pytest.mark.parametrize("rows", [2, 3, 4, 6])
+@pytest.mark.parametrize("cols", [2, 3, 4, 6])
+def test_sweep_equals_per_k_oracle_on_rounds(rows, cols, rule):
+    g = gen_stockinette(rows, cols, round=True).graph
+    assert sweep_feasible_k(g, rule) == _sweep_per_k(g, rule)
+
+
+def _relaxed_all_roles(n, edges):
+    """The path-cover network by hand: every vertex may start, continue or
+    end a thread, and both super arcs allow 0..n threads."""
+    net = FlowNetwork(n, 0)
+    for v in range(n):
+        net.add(2 * v, 2 * v + 1, 1, 1, SPLIT, v)
+    for s, d in edges:
+        net.add(2 * s + 1, 2 * d, 0, 1, ORIGINAL, (s, d))
+    for v in range(n):
+        net.add(net.s_out, 2 * v, 0, 1, SOURCE, v)
+        net.add(2 * v + 1, net.t_in, 0, 1, SINK, v)
+    net.add(net.s_in, net.s_out, 0, n, SUPER, None)
+    net.add(net.t_in, net.t_out, 0, n, SUPER, None)
+    return net
+
+
+def test_flow_range_on_relaxed_networks():
+    assert solve_flow_range(_relaxed_all_roles(5, [(i, i + 1) for i in range(4)])) == (1, 5)
+    assert solve_flow_range(_relaxed_all_roles(0, [])) == (0, 0)
+    diamond = [(0, 1), (0, 2), (1, 3), (2, 3)]
+    assert solve_flow_range(_relaxed_all_roles(4, diamond)) == (2, 4)
+
+
+def test_flow_range_infeasible_and_pinned():
+    net = FlowNetwork(1, 0)
+    net.add(0, 1, 1, 1, SPLIT, 0)
+    assert solve_flow_range(net) is None
+    # exact super bounds pin the range to a single value
+    exact = build_flow_network(gen_stockinette(3, 3, round=True).graph, 1)
+    assert solve_flow_range(exact) == (1, 1)
+
+
+def test_sweep_k_max_and_empty_graph():
+    g = gen_stockinette(3, 3, round=True).graph
+    full = sweep_feasible_k(g)
+    assert full == _sweep_per_k(g) and 1 in full
+    assert sweep_feasible_k(g, k_max=0) == []
+    assert sweep_feasible_k(g, k_max=g.n + 5) == full
+    assert sweep_feasible_k(g, k_max=1) == [1]
+    assert sweep_feasible_k(DirectedKnitGraph(0, ())) == []
+    assert sweep_feasible_k(chain(3)) == []  # vertex 0 has no role
+
+
+def test_sweep_errors_match_per_k_decision():
+    cyclic = DirectedKnitGraph(3, ((0, 1, U), (1, 2, U), (2, 0, U)))
+    purple = gen_stockinette(3, 3).graph
+    for g, error in ((cyclic, NotADagError), (purple, PurplePresentError)):
+        with pytest.raises(error):
+            sweep_feasible_k(g)
+        with pytest.raises(error):
+            _sweep_per_k(g)
+
+
+def test_vertex_roles_classifies_each_degree_pair_once(monkeypatch):
+    g = gen_stockinette(4, 4, round=True).graph
+    calls = []
+
+    def counting(indeg, outdeg, rule=RedRule.STRICT):
+        calls.append((indeg, outdeg))
+        return classify_vertex(indeg, outdeg, rule)
+
+    monkeypatch.setattr(cover_module, "classify_vertex", counting)
+    roles = vertex_roles(g)
+    assert roles == [classify_vertex(i, o) for i, o in g.degrees()]
+    assert sorted(calls) == sorted(set(g.degrees()))
+
+
+def test_vertex_roles_reports_first_bad_vertex():
+    with pytest.raises(InfeasibleVertexError) as info:
+        vertex_roles(chain(3))
+    assert (info.value.vertex, info.value.indeg, info.value.outdeg) == (0, 0, 1)
