@@ -3,11 +3,18 @@ planarity, segment crossings, cable width, complexity classes, row
 counting, and the zero-interleaving simplicity test.
 
 A layout maps each vertex to (row, column); rows are integers and columns
-exact rationals, so every intersection test below is exact.
+exact rationals, so every intersection test below is exact. The crossing
+graph scales the columns (and any fractional rows) by the LCM of their
+denominators, so its orientation tests run on Python ints, and it tests
+only the edge pairs whose bounding boxes overlap, found by a sweep over
+row bands and x intervals. On knit layouts, where edges are short, that
+is O((n + m) log n) plus the number of overlapping pairs.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -51,24 +58,26 @@ class CrossingGraph:
         for i, j in self.links:
             adj[i].add(j)
             adj[j].add(i)
-        seen: set[int] = set()
-        out = []
+        label: dict[int, int] = {}
+        comps: list[set[int]] = []
         for i in range(len(self.edge_pairs)):
-            if i in seen:
+            if i in label:
                 continue
             comp = {i}
             stack = [i]
-            seen.add(i)
+            label[i] = len(comps)
             while stack:
                 u = stack.pop()
                 for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
+                    if w not in label:
+                        label[w] = len(comps)
                         comp.add(w)
                         stack.append(w)
-            links = sum(1 for a, b in self.links if a in comp)
-            out.append((comp, links))
-        return out
+            comps.append(comp)
+        link_counts = [0] * len(comps)
+        for i, _j in self.links:
+            link_counts[label[i]] += 1
+        return list(zip(comps, link_counts))
 
     def max_component_links(self) -> int:
         return max((links for _c, links in self.components()), default=0)
@@ -92,27 +101,126 @@ def _on_segment(a: Point, b: Point, p: Point) -> bool:
     )
 
 
-def _proper_crossing(a: Point, b: Point, c: Point, d: Point) -> Point | None:
-    """Interior intersection point of segments ab and cd, or None.
+def _scaled_points(
+    g: DirectedKnitGraph | KnittingGraph, layout: Layout
+) -> tuple[dict[int, tuple[int, int]], tuple[int, int]]:
+    """Vertex positions with columns times sx and rows times sy, the LCMs
+    of their denominators, so that every coordinate is an int.
 
-    Collinear overlap raises; touching at a shared coordinate is handled by
-    the callers' vertex checks.
+    Scaling each axis by a positive factor keeps every orientation sign,
+    betweenness and intersection, so the tests run on ints; points go back
+    to layout coordinates only for an error report.
     """
-    o1 = _orient(a, b, c)
-    o2 = _orient(a, b, d)
-    o3 = _orient(c, d, a)
-    o4 = _orient(c, d, b)
-    if o1 == 0 and o2 == 0:
-        # collinear: overlapping segments are a degenerate drawing
-        if _on_segment(a, b, c) or _on_segment(a, b, d) or _on_segment(c, d, a):
-            raise DegenerateLayoutError(c, "collinear overlapping edges")
-        return None
-    if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
-        # strict crossing; solve for the intersection point exactly
-        denom = (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
-        t = ((c[0] - a[0]) * (d[1] - c[1]) - (c[1] - a[1]) * (d[0] - c[0])) / denom
-        return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-    return None
+    exact: list[tuple[int, Fraction, Fraction]] = []
+    missing = None
+    for v in range(g.n):
+        if v not in layout:
+            missing = v
+            break
+        row, col = layout[v]
+        exact.append((v, Fraction(col), Fraction(row)))
+    sx = math.lcm(*(x.denominator for _v, x, _y in exact))
+    sy = math.lcm(*(y.denominator for _v, _x, y in exact))
+    points: dict[int, tuple[int, int]] = {}
+    taken: set[tuple[int, int]] = set()
+    for v, x, y in exact:
+        p = (x.numerator * (sx // x.denominator), y.numerator * (sy // y.denominator))
+        if p in taken:
+            raise DegenerateLayoutError((x, y), "two vertices share a position")
+        taken.add(p)
+        points[v] = p
+    # a duplicate before the first missing vertex is reported first
+    if missing is not None:
+        raise DegenerateLayoutError(None, f"vertex {missing} missing from layout")
+    return points, (sx, sy)
+
+
+def _check_vertices_off_edges(
+    pairs: list[tuple[int, int]],
+    points: dict[int, tuple[int, int]],
+    scale: tuple[int, int],
+) -> None:
+    """Raise for the first edge, in edge order, with a non-incident vertex
+    in its interior. Only the rows the edge spans are looked at: a
+    horizontal edge bisects its row for the points strictly between its
+    ends, any other edge bisects each row strictly between its end rows for
+    the one x where it meets that row."""
+    by_row: dict[int, list[tuple[int, int]]] = {}
+    for v, p in points.items():
+        by_row.setdefault(p[1], []).append((p[0], v))
+    for row in by_row.values():
+        row.sort()
+    rows = sorted(by_row)
+    for u, w in pairs:
+        (ax, ay), (bx, by) = points[u], points[w]
+        hits = []
+        if ay == by:
+            row = by_row[ay]
+            lo = bisect_right(row, (min(ax, bx), len(points)))
+            hi = bisect_left(row, (max(ax, bx), -1))
+            hits = [v for _x, v in row[lo:hi]]
+        else:
+            dy = by - ay
+            lo = bisect_right(rows, min(ay, by))
+            hi = bisect_left(rows, max(ay, by))
+            for y in rows[lo:hi]:
+                num = ax * dy + (y - ay) * (bx - ax)
+                if num % dy:
+                    continue  # the edge meets this row off every int x
+                row = by_row[y]
+                k = bisect_left(row, (num // dy, -1))
+                if k < len(row) and row[k][0] == num // dy:
+                    hits.append(row[k][1])
+        if hits:
+            v = min(hits)
+            raise DegenerateLayoutError(
+                _unscale(points[v], scale), f"vertex {v} lies on edge {(u, w)}"
+            )
+
+
+def _unscale(p: tuple[int, int], scale: tuple[int, int], den: int = 1) -> Point:
+    return (Fraction(p[0], scale[0] * den), Fraction(p[1], scale[1] * den))
+
+
+def _candidate_pairs(
+    pairs: list[tuple[int, int]], points: dict[int, tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """Edge index pairs (i < j), ascending, whose closed bounding boxes
+    overlap and that share no vertex: the only pairs that can cross,
+    overlap or touch.
+
+    Every edge joins in the band of each row from its lower to its upper
+    end row. Closed y ranges over the same rows overlap exactly when the
+    two edges share a band, and the first band they share is the upper of
+    their lower rows; a pair is taken there only, so it is listed once.
+    Within a band, an x-interval sweep pairs the edges whose closed x
+    ranges overlap.
+    """
+    band_of_row = {y: k for k, y in enumerate(sorted({p[1] for p in points.values()}))}
+    bands: list[list[tuple[int, int, int]]] = [[] for _ in band_of_row]
+    first_band: list[int] = []
+    for i, (u, w) in enumerate(pairs):
+        (ax, ay), (bx, by) = points[u], points[w]
+        k0, k1 = sorted((band_of_row[ay], band_of_row[by]))
+        first_band.append(k0)
+        entry = (min(ax, bx), max(ax, bx), i)
+        for k in range(k0, k1 + 1):
+            bands[k].append(entry)
+    out: list[tuple[int, int]] = []
+    for k, band in enumerate(bands):
+        band.sort()
+        active: list[tuple[int, int, int]] = []
+        for entry in band:
+            x0, _x1, j = entry
+            active = [a for a in active if a[1] >= x0]
+            u, w = pairs[j]
+            for _a0, _a1, i in active:
+                shared = u in pairs[i] or w in pairs[i]
+                if not shared and k == max(first_band[i], first_band[j]):
+                    out.append((i, j) if i < j else (j, i))
+            active.append(entry)
+    out.sort()
+    return out
 
 
 def crossing_graph(
@@ -122,49 +230,64 @@ def crossing_graph(
 
     Degenerate drawings are rejected: duplicate vertex positions, a vertex
     in the interior of a non-incident edge, overlapping collinear edges, or
-    three edges through one non-vertex point.
+    three edges through one non-vertex point. The first such fault, in
+    vertex order, then edge order, then edge-pair order, is the one raised,
+    with its point in layout coordinates.
+
+    Coordinates are scaled to ints first (see `_scaled_points`), so every
+    test is exact without `Fraction` arithmetic. Vertex-on-edge checks
+    bisect only the rows an edge spans, and segment tests run only on the
+    pairs whose bounding boxes overlap (`_candidate_pairs`). On a knit
+    layout, where each edge spans at most a row or two and a few columns,
+    this costs O((n + m) log n) plus the number of overlapping pairs,
+    instead of O(m * n + m^2). An edge spanning r rows costs O(r) bands
+    and row probes, so a drawing of long edges across many rows degrades
+    towards the quadratic bound.
     """
     if isinstance(g, KnittingGraph):
         pairs = list(g.edges)
     else:
         pairs = [(s, d) for s, d, _ in g.edges]
-    points: dict[int, Point] = {}
-    seen_points: dict[Point, int] = {}
-    vertices = {v for e in pairs for v in e} | set(range(g.n))
-    for v in vertices:
-        if v not in layout:
-            raise DegenerateLayoutError(None, f"vertex {v} missing from layout")
-        p = _point(layout, v)
-        if p in seen_points:
-            raise DegenerateLayoutError(p, "two vertices share a position")
-        seen_points[p] = v
-        points[v] = p
-
-    # a vertex inside a non-incident edge makes sides ill-defined
-    for u, w in pairs:
-        a, b = points[u], points[w]
-        for v, p in points.items():
-            if v in (u, w):
-                continue
-            if _orient(a, b, p) == 0 and _on_segment(a, b, p) and p not in (a, b):
-                raise DegenerateLayoutError(p, f"vertex {v} lies on edge {(u, w)}")
+    points, scale = _scaled_points(g, layout)
+    _check_vertices_off_edges(pairs, points, scale)
 
     links: list[tuple[int, int]] = []
-    meeting: dict[Point, set[int]] = {}
-    for i in range(len(pairs)):
-        u1, w1 = pairs[i]
-        a, b = points[u1], points[w1]
-        for j in range(i + 1, len(pairs)):
-            u2, w2 = pairs[j]
-            if {u1, w1} & {u2, w2}:
-                continue
-            cross = _proper_crossing(a, b, points[u2], points[w2])
-            if cross is not None:
-                links.append((i, j))
-                edges_here = meeting.setdefault(cross, set())
-                edges_here.update((i, j))
-                if len(edges_here) > 2:
-                    raise DegenerateLayoutError(cross, "three edges concurrent")
+    meeting: dict[tuple[int, int, int], set[int]] = {}
+    for i, j in _candidate_pairs(pairs, points):
+        (u1, w1), (u2, w2) = pairs[i], pairs[j]
+        a, b, c, d = points[u1], points[w1], points[u2], points[w2]
+        o1 = _orient(a, b, c)
+        o2 = _orient(a, b, d)
+        if o1 == 0 and o2 == 0:
+            # guard: an overlap puts an end of one edge inside the other,
+            # which the vertex check above has already rejected
+            if _on_segment(a, b, c) or _on_segment(a, b, d) or _on_segment(c, d, a):
+                raise DegenerateLayoutError(
+                    _unscale(c, scale), "collinear overlapping edges"
+                )
+            continue
+        if o1 == o2 or 0 in (o1, o2):
+            continue
+        o3 = _orient(c, d, a)
+        o4 = _orient(c, d, b)
+        if o3 == o4 or 0 in (o3, o4):
+            continue
+        # strict crossing at (x / den, y / den), kept in lowest terms
+        den = (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
+        t = (c[0] - a[0]) * (d[1] - c[1]) - (c[1] - a[1]) * (d[0] - c[0])
+        x = a[0] * den + t * (b[0] - a[0])
+        y = a[1] * den + t * (b[1] - a[1])
+        if den < 0:
+            x, y, den = -x, -y, -den
+        common = math.gcd(x, y, den)
+        cross = (x // common, y // common, den // common)
+        links.append((i, j))
+        edges_here = meeting.setdefault(cross, set())
+        edges_here.update((i, j))
+        if len(edges_here) > 2:
+            raise DegenerateLayoutError(
+                _unscale(cross[:2], scale, cross[2]), "three edges concurrent"
+            )
     return CrossingGraph(tuple(pairs), tuple(links))
 
 
@@ -214,9 +337,9 @@ def classify_complexity(
     admissible for its thread position, and class 1 when only planarity
     holds.
     """
-    planar = is_planar(underlying_knitting_graph(g))
     crossings_red = False
     crossings_blue = False
+    has_crossings = False
     if layout is not None:
         cg = crossing_graph(g, layout)
         color_of = {(s, d): c for s, d, c in g.edges}
@@ -227,8 +350,11 @@ def classify_complexity(
             if involved & {EdgeColor.BLUE, EdgeColor.PURPLE}:
                 crossings_blue = True
         has_crossings = bool(cg.links)
-    else:
-        has_crossings = False
+    # crossing_graph rejects every degenerate drawing, so a layout without
+    # crossings is a plane straight-line drawing: the graph is planar
+    planar = (layout is not None and not has_crossings) or is_planar(
+        underlying_knitting_graph(g)
+    )
 
     if multi_orientation:
         cls = ComplexityClass.CLASS3

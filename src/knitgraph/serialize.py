@@ -4,7 +4,7 @@ Schema (UTF-8 JSON):
 
     {"n": int, "directed": bool, "multigraph": bool,
      "edges": [{"src": int, "dst": int, "color": "blue"|"red"|"purple"|null}],
-     "layout": {"<id>": [row, col]}?,            # optional
+     "layout": {"<id>": [row, col]}?,            # optional; one per vertex
      "meta": {"k": int?, "labels": {..}?, ...}}  # optional, open
 
 A multigraph document parses to a YarnGraph (colors must be null); anything
@@ -103,6 +103,12 @@ def parse_document(data: bytes | str) -> GraphDocument:
             if isinstance(row, bool) or not isinstance(row, int):
                 raise SchemaError(f"layout[{key}]: row must be an integer")
             layout[vid] = (row, _parse_col(col))
+        for vid in layout:
+            if not 0 <= vid < n:
+                raise SchemaError(f"layout: vertex id {vid} out of range for n={n}")
+        if len(layout) < n:
+            missing = next(v for v in range(n) if v not in layout)
+            raise SchemaError(f"layout: vertex {missing} has no position")
 
     meta = raw.get("meta") or {}
     if not isinstance(meta, dict):

@@ -117,6 +117,34 @@ def test_cablewidth(tmp_path, capsys):
     assert json.loads(out)["cable_width"] == 1
 
 
+@pytest.mark.parametrize("command", ["rows", "classify", "cablewidth"])
+@pytest.mark.parametrize(
+    "layout",
+    [{"0": [0, 0], "1": [0, 1]}, {"0": [0, 0], "1": [0, 1], "2": [0, 2], "3": [1, 0]}],
+    ids=["missing-vertex", "key-out-of-range"],
+)
+def test_layout_not_covering_the_vertices_is_status_2(tmp_path, capsys, command, layout):
+    path = tmp_path / "partial.json"
+    path.write_text(
+        json.dumps(
+            {
+                "n": 3,
+                "directed": True,
+                "edges": [
+                    {"src": 0, "dst": 1, "color": "blue"},
+                    {"src": 1, "dst": 2, "color": "blue"},
+                ],
+                "layout": layout,
+                "meta": {"threads": [[0, 1, 2]]},
+            }
+        )
+    )
+    code, out, err = run(capsys, command, "--json", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: layout") and err.count("\n") == 1
+
+
 def test_yarn_min_k(tmp_path, capsys):
     path = tmp_path / "yarn.json"
     path.write_text(

@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knitgraph import test_simple_knittable as simplicity_of
 from knitgraph import (
@@ -25,8 +27,93 @@ from knitgraph import (
     is_planar,
     underlying_knitting_graph,
 )
+from knitgraph.layout import CrossingGraph, _on_segment, _orient, _point
 
 B, R, P, U = EdgeColor.BLUE, EdgeColor.RED, EdgeColor.PURPLE, EdgeColor.UNCOLORED
+
+
+def _proper_crossing(a, b, c, d):
+    """Interior intersection point of segments ab and cd, or None.
+
+    Collinear overlap raises; touching at a shared coordinate is handled by
+    the callers' vertex checks.
+    """
+    o1 = _orient(a, b, c)
+    o2 = _orient(a, b, d)
+    o3 = _orient(c, d, a)
+    o4 = _orient(c, d, b)
+    if o1 == 0 and o2 == 0:
+        # collinear: overlapping segments are a degenerate drawing
+        if _on_segment(a, b, c) or _on_segment(a, b, d) or _on_segment(c, d, a):
+            raise DegenerateLayoutError(c, "collinear overlapping edges")
+        return None
+    if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
+        # strict crossing; solve for the intersection point exactly
+        denom = (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
+        t = ((c[0] - a[0]) * (d[1] - c[1]) - (c[1] - a[1]) * (d[0] - c[0])) / denom
+        return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+    return None
+
+
+def _crossing_graph_bruteforce(g, layout):
+    """Reference crossing graph: every vertex against every edge and every
+    edge pair against every other, in `Fraction` arithmetic."""
+    if isinstance(g, KnittingGraph):
+        pairs = list(g.edges)
+    else:
+        pairs = [(s, d) for s, d, _ in g.edges]
+    points = {}
+    seen_points = {}
+    vertices = {v for e in pairs for v in e} | set(range(g.n))
+    for v in vertices:
+        if v not in layout:
+            raise DegenerateLayoutError(None, f"vertex {v} missing from layout")
+        p = _point(layout, v)
+        if p in seen_points:
+            raise DegenerateLayoutError(p, "two vertices share a position")
+        seen_points[p] = v
+        points[v] = p
+
+    # a vertex inside a non-incident edge makes sides ill-defined
+    for u, w in pairs:
+        a, b = points[u], points[w]
+        for v, p in points.items():
+            if v in (u, w):
+                continue
+            if _orient(a, b, p) == 0 and _on_segment(a, b, p) and p not in (a, b):
+                raise DegenerateLayoutError(p, f"vertex {v} lies on edge {(u, w)}")
+
+    links = []
+    meeting = {}
+    for i in range(len(pairs)):
+        u1, w1 = pairs[i]
+        a, b = points[u1], points[w1]
+        for j in range(i + 1, len(pairs)):
+            u2, w2 = pairs[j]
+            if {u1, w1} & {u2, w2}:
+                continue
+            cross = _proper_crossing(a, b, points[u2], points[w2])
+            if cross is not None:
+                links.append((i, j))
+                edges_here = meeting.setdefault(cross, set())
+                edges_here.update((i, j))
+                if len(edges_here) > 2:
+                    raise DegenerateLayoutError(cross, "three edges concurrent")
+    return CrossingGraph(tuple(pairs), tuple(links))
+
+
+def _outcome(crossings, g, layout):
+    try:
+        cg = crossings(g, layout)
+    except DegenerateLayoutError as exc:
+        return ("error", type(exc), str(exc), exc.point)
+    return ("ok", cg.edge_pairs, cg.links)
+
+
+def assert_matches_oracle(g, layout):
+    expected = _outcome(_crossing_graph_bruteforce, g, layout)
+    assert _outcome(crossing_graph, g, layout) == expected
+    return expected
 
 
 def complete_graph(n):
@@ -102,6 +189,115 @@ def test_crossing_graph_missing_vertex():
         crossing_graph(g, {0: (0, Fraction(0))})
 
 
+COLUMNS = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-12, 12), st.sampled_from([2, 3, 7])),
+    st.sampled_from([Fraction("0.6"), Fraction("-1.4"), 0.6, -2.5]),
+)
+FAULTS = [None, "duplicate", "on_edge", "collinear", "concurrent", "missing"]
+
+
+@st.composite
+def drawings(draw):
+    """A small straight-line drawing on a fractional grid, undirected or
+    colored, with one degeneracy planted on purpose unless the fault is
+    None. Random positions are often degenerate on their own as well."""
+    n = draw(st.integers(0, 8))
+    layout = {v: (draw(st.integers(-3, 3)), draw(COLUMNS)) for v in range(n)}
+    candidates = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
+    edges = {e for e, k in zip(candidates, keep) if k}
+    fault = draw(st.sampled_from(FAULTS))
+    vs = draw(st.permutations(range(n)))
+    r, c = draw(st.integers(-2, 2)), Fraction(draw(COLUMNS))
+    dr, dc = draw(st.sampled_from([(0, 1), (1, 0), (1, 1), (1, -2), (1, Fraction(1, 3))]))
+    if fault == "duplicate" and n >= 2:
+        layout[vs[1]] = layout[vs[0]]
+    elif fault == "on_edge" and n >= 3:
+        # vs[2] at the midpoint of the edge vs[0]-vs[1]
+        for k in range(3):
+            layout[vs[k]] = (r + (2 * dr if k == 1 else dr if k == 2 else 0),
+                             c + (2 * dc if k == 1 else dc if k == 2 else 0))
+        edges.add(tuple(sorted(vs[:2])))
+    elif fault == "collinear" and n >= 4:
+        # four points on one line; edges 0-2 and 1-3 overlap
+        for k in range(4):
+            layout[vs[k]] = (r + k * dr, c + k * dc)
+        edges |= {tuple(sorted((vs[0], vs[2]))), tuple(sorted((vs[1], vs[3])))}
+    elif fault == "concurrent" and n >= 6:
+        # three edges through (r, c), none of them ending there
+        for k, (sr, sc) in enumerate([(0, 1), (1, 0), (1, 1)]):
+            near, far = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            layout[vs[2 * k]] = (r - near * sr, c - near * sc)
+            layout[vs[2 * k + 1]] = (r + far * sr, c + far * sc)
+            edges.add(tuple(sorted((vs[2 * k], vs[2 * k + 1]))))
+    elif fault == "missing" and n >= 1:
+        del layout[vs[0]]
+    edges = sorted(edges)
+    if draw(st.booleans()):
+        return KnittingGraph(n, tuple(edges)), layout
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    colors = draw(st.lists(st.sampled_from([B, R, P, U]), min_size=len(edges), max_size=len(edges)))
+    arcs = tuple(
+        (w, u, col) if flip else (u, w, col)
+        for (u, w), flip, col in zip(edges, flips, colors)
+    )
+    return DirectedKnitGraph(n, arcs), layout
+
+
+@settings(max_examples=600, deadline=None)
+@given(drawings())
+def test_crossing_graph_matches_bruteforce_on_random_drawings(drawing):
+    assert_matches_oracle(*drawing)
+
+
+def test_crossing_graph_matches_bruteforce_on_fixtures():
+    from knitgraph import all_fixtures
+
+    pieces = [f for f in all_fixtures() if f.layout is not None]
+    pieces += [gen_stockinette(6, 7), gen_brioche_maximal(8), gen_brioche_maximal(10)]
+    for f in pieces:
+        assert assert_matches_oracle(f.graph, f.layout)[0] == "ok", f.name
+        # the same drawing sheared by a fractional column offset per row
+        sheared = {v: (row, col + Fraction(row, 7)) for v, (row, col) in f.layout.items()}
+        assert_matches_oracle(f.graph, sheared)
+
+
+def test_crossing_graph_degenerate_error_points():
+    """Each planted fault is reported with its point in layout coordinates."""
+    # Two stars of three concurrent edges: edges 0, 3, 5 meet at (0, 1/2)
+    # and edges 1, 2, 4 at (0, 5). The first star is found first in pair
+    # order although its two crossings have determinants of unequal size
+    # and opposite sign.
+    stars = {
+        0: (0, 0), 1: (0, 1), 6: (-1, Fraction(1, 2)), 7: (1, Fraction(1, 2)),
+        10: (2, Fraction(-1, 2)), 11: (-2, Fraction(3, 2)),
+        2: (0, 4), 3: (0, 6), 4: (-1, 5), 5: (1, 5), 8: (-1, 4), 9: (1, 6),
+    }
+    g = KnittingGraph(12, tuple((2 * k, 2 * k + 1) for k in range(6)))
+    with pytest.raises(DegenerateLayoutError, match="three edges concurrent") as info:
+        crossing_graph(g, stars)
+    assert info.value.point == (Fraction(1, 2), Fraction(0))
+    assert assert_matches_oracle(g, stars)[0] == "error"
+
+    on_edge = {0: (0, Fraction(1, 3)), 1: (2, Fraction(1)), 2: (1, Fraction(2, 3))}
+    g = KnittingGraph(3, ((0, 1),))
+    with pytest.raises(DegenerateLayoutError, match="vertex 2 lies on edge") as info:
+        crossing_graph(g, on_edge)
+    assert info.value.point == (Fraction(2, 3), Fraction(1))
+
+    # a duplicate before the first missing vertex wins, as in vertex order
+    g = KnittingGraph(4, ())
+    layout = {0: (0, Fraction(1)), 1: (0, Fraction(1)), 3: (0, Fraction(2))}
+    with pytest.raises(DegenerateLayoutError, match="share a position") as info:
+        crossing_graph(g, layout)
+    assert info.value.point == (Fraction(1), Fraction(0))
+    layout = {0: (0, Fraction(1)), 2: (0, Fraction(1)), 3: (0, Fraction(2))}
+    with pytest.raises(DegenerateLayoutError, match="vertex 1 missing") as info:
+        crossing_graph(g, layout)
+    assert info.value.point is None
+
+
 def test_cable_width_plane_drawing():
     f = gen_stockinette(4, 4)
     assert cable_width(f.graph, f.layout) == 0
@@ -110,6 +306,17 @@ def test_cable_width_plane_drawing():
 def test_cable_width_c1b():
     f = gen_stitch_fixture("c1b")
     assert cable_width(f.graph, f.layout) == 1
+
+
+def test_cable_width_brioche_40():
+    f = gen_brioche_maximal(40)
+    assert cable_width(f.graph, f.layout) == 1
+
+
+def test_crossing_graph_components_count_links_per_component():
+    cg = CrossingGraph(tuple((v, v + 1) for v in range(6)), ((0, 1), (1, 2), (3, 4)))
+    assert cg.components() == [({0, 1, 2}, 2), ({3, 4}, 1), ({5}, 0)]
+    assert cg.max_component_links() == 2
 
 
 def test_cable_width_blue_crossing_rejected():
@@ -130,6 +337,10 @@ def test_classify_fixture_expectations():
     for f in all_fixtures():
         report = classify_complexity(f.graph, f.layout, f.rule)
         assert report.complexity is f.expected_class, f.name
+        # a crossing-free layout proves planarity without the networkx test
+        planar = is_planar(underlying_knitting_graph(f.graph))
+        assert report.planar == planar, f.name
+        assert classify_complexity(f.graph, None, f.rule).planar == planar, f.name
 
 
 def test_classify_star_stitch_like_is_class1():

@@ -66,6 +66,20 @@ def test_bad_color_is_schema_error():
         )
 
 
+@pytest.mark.parametrize(
+    "layout, message",
+    [
+        ('{"0": [0, 0]}', "vertex 1 has no position"),
+        ('{"0": [0, 0], "1": [0, 1], "2": [1, 0]}', "vertex id 2 out of range"),
+        ('{"0": [0, 0], "-1": [0, 1]}', "vertex id -1 out of range"),
+    ],
+)
+def test_layout_must_cover_exactly_the_vertices(layout, message):
+    doc = '{"n": 2, "directed": true, "edges": [], "layout": %s}' % layout
+    with pytest.raises(SchemaError, match=message):
+        parse_document(doc)
+
+
 def test_invalid_json_reports_line():
     with pytest.raises(SchemaError, match="line"):
         parse_json(b"{not json")
