@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit status: 0 affirmative/success, 1 negative answer (infeasible, invalid
-witness, not planar), 2 invalid input or usage. Results go to stdout,
-diagnostics to stderr; --json switches stdout to machine-readable form.
+witness, not planar), 2 invalid input, usage, or any other error (one line
+on stderr, no traceback). Results go to stdout, diagnostics to stderr;
+--json switches stdout to machine-readable form.
 """
 
 from __future__ import annotations
@@ -387,17 +388,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command; safe to call repeatedly in one process.
+
+    The parser is built on the first call and reused after it. Any
+    exception other than the expected input errors also exits 2 with one
+    line on stderr, so status 1 only ever means a negative verdict.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return ERROR if exc.code else OK
     try:
         return args.func(args)
     except (KnitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return ERROR
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return ERROR
 
 
 if __name__ == "__main__":

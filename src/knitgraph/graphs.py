@@ -51,17 +51,31 @@ class DirectedKnitGraph:
     edges: tuple[ColoredEdge, ...]
 
     def __post_init__(self):
-        seen_pairs: set[frozenset[int]] = set()
+        n = self.n
+        # Each unordered pair is keyed by one int, min * n + max; the key is
+        # taken after the range check, so distinct pairs get distinct keys.
+        seen_pairs: set[int] = set()
         for src, dst, _color in self.edges:
             if src == dst:
                 raise SelfLoopError(src)
-            if not (0 <= src < self.n) or not (0 <= dst < self.n):
-                raise IndexOutOfRangeError(src if src >= self.n or src < 0 else dst, self.n)
-            pair = frozenset((src, dst))
+            if not (0 <= src < n) or not (0 <= dst < n):
+                raise IndexOutOfRangeError(src if src >= n or src < 0 else dst, n)
+            pair = src * n + dst if src < dst else dst * n + src
             if pair in seen_pairs:
                 raise DuplicateEdgeError(src, dst)
             seen_pairs.add(pair)
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: (e[0], e[1]))))
+        # Plain tuple order: the (src, dst) pairs are unique, so colors are
+        # never compared.
+        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[ColoredEdge, ...]) -> "DirectedKnitGraph":
+        """Build without validation from arcs that some graph already passed,
+        kept in its canonical order."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "edges", edges)
+        return graph
 
     @property
     def m(self) -> int:
@@ -92,10 +106,14 @@ class DirectedKnitGraph:
         return list(zip(indeg, outdeg))
 
     def recolored(self, coloring: dict[tuple[int, int], EdgeColor]) -> "DirectedKnitGraph":
-        """New graph with the same arcs and colors taken from `coloring`."""
-        return DirectedKnitGraph(
+        """New graph with the same arcs and colors taken from `coloring`.
+
+        The arcs are this graph's, already validated and sorted, so they
+        are not checked again.
+        """
+        return DirectedKnitGraph._trusted(
             self.n,
-            tuple((s, d, coloring.get((s, d), c)) for s, d, c in self.edges),
+            tuple([(s, d, coloring.get((s, d), c)) for s, d, c in self.edges]),
         )
 
 

@@ -5,11 +5,14 @@ Schema (UTF-8 JSON):
     {"n": int, "directed": bool, "multigraph": bool,
      "edges": [{"src": int, "dst": int, "color": "blue"|"red"|"purple"|null}],
      "layout": {"<id>": [row, col]}?,            # optional; one per vertex
-     "meta": {"k": int?, "labels": {..}?, ...}}  # optional, open
+     "meta": {"k": int?, "threads": [[int, ...], ...]?,
+              "labels": {..}?, ...}}             # optional, open
 
 A multigraph document parses to a YarnGraph (colors must be null); anything
-else parses to a DirectedKnitGraph. External vertex labels, when present in
-meta.labels, are preserved verbatim in the parsed document.
+else parses to a DirectedKnitGraph. meta.k, when set, is a non-negative int
+and meta.threads a list of lists of vertex ids in [0, n); null means unset.
+External vertex labels, when present in meta.labels, are preserved verbatim
+in the parsed document.
 """
 
 from __future__ import annotations
@@ -59,11 +62,39 @@ def _parse_col(value) -> Fraction:
     return Fraction(str(value))
 
 
+def _edge_schema_error(i: int, e) -> SchemaError:
+    """The error for an edge the fast path of `parse_document` refused."""
+    if not isinstance(e, dict):
+        return SchemaError(f"edges[{i}]: expected an object")
+    _require(e, "src", int, f"edges[{i}]")
+    _require(e, "dst", int, f"edges[{i}]")
+    return SchemaError(f"edges[{i}]: unknown color {e.get('color')!r}")
+
+
+def _check_meta(meta: dict, n: int) -> None:
+    k = meta.get("k")
+    if k is not None and (type(k) is not int or k < 0):
+        raise SchemaError(f"meta: 'k' must be a non-negative int, found {k!r}")
+    threads = meta.get("threads")
+    if threads is None:
+        return
+    if not isinstance(threads, list):
+        raise SchemaError("meta: 'threads' must be a list of vertex lists")
+    for i, thread in enumerate(threads):
+        if not isinstance(thread, list):
+            raise SchemaError(f"meta.threads[{i}]: expected a list of vertex ids")
+        for v in thread:
+            if type(v) is not int or not 0 <= v < n:
+                raise SchemaError(f"meta.threads[{i}]: {v!r} is not a vertex id for n={n}")
+
+
 def parse_document(data: bytes | str) -> GraphDocument:
     try:
         raw = json.loads(data)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"invalid {exc.encoding} at byte {exc.start}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("top level: expected an object")
 
@@ -76,16 +107,26 @@ def parse_document(data: bytes | str) -> GraphDocument:
         raise SchemaError("top level: 'multigraph' must be a bool")
     edges_raw = _require(raw, "edges", list, "top level")
 
-    edges = []
+    # One pass: each edge is checked once and lands straight in the list
+    # its graph type takes; `_edge_schema_error` only words a refusal.
+    edges: list = []
+    colored = False
     for i, e in enumerate(edges_raw):
-        if not isinstance(e, dict):
-            raise SchemaError(f"edges[{i}]: expected an object")
-        src = _require(e, "src", int, f"edges[{i}]")
-        dst = _require(e, "dst", int, f"edges[{i}]")
-        color = e.get("color")
-        if color not in _COLOR_FROM_JSON:
-            raise SchemaError(f"edges[{i}]: unknown color {color!r}")
-        edges.append((src, dst, _COLOR_FROM_JSON[color]))
+        if type(e) is not dict:
+            raise _edge_schema_error(i, e)
+        src = e.get("src")
+        dst = e.get("dst")
+        if type(src) is not int or type(dst) is not int:
+            raise _edge_schema_error(i, e)
+        try:
+            color = _COLOR_FROM_JSON[e.get("color")]
+        except (KeyError, TypeError):  # TypeError: an unhashable color
+            raise _edge_schema_error(i, e) from None
+        if multigraph:
+            colored = colored or color is not EdgeColor.UNCOLORED
+            edges.append((src, dst))
+        else:
+            edges.append((src, dst, color))
 
     layout: Layout | None = None
     if raw.get("layout") is not None:
@@ -113,16 +154,14 @@ def parse_document(data: bytes | str) -> GraphDocument:
     meta = raw.get("meta") or {}
     if not isinstance(meta, dict):
         raise SchemaError("meta: expected an object")
+    _check_meta(meta, n)
 
     if multigraph:
-        if any(c is not EdgeColor.UNCOLORED for _, _, c in edges):
+        if colored:
             raise SchemaError("multigraph edges must not carry colors")
         if not directed:
             raise SchemaError("yarn graphs are directed")
-        hint = meta.get("k")
-        graph: DirectedKnitGraph | YarnGraph = YarnGraph(
-            n, tuple((s, d) for s, d, _ in edges), hint
-        )
+        graph: DirectedKnitGraph | YarnGraph = YarnGraph(n, tuple(edges), meta.get("k"))
     else:
         graph = DirectedKnitGraph(n, tuple(edges))
     return GraphDocument(graph, layout, meta)

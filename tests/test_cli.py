@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from knitgraph.cli import main
+from knitgraph import cli
+from knitgraph.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -234,3 +235,76 @@ def test_planar_and_hamiltonian(round33, capsys):
     code, out, _ = run(capsys, "hamiltonian", "--json", str(round33))
     assert code == 0
     assert json.loads(out)["order"] == list(range(9))
+
+
+def _yarn_doc(tmp_path):
+    path = tmp_path / "yarn-min.json"
+    edges = [(0, 1), (1, 0), (0, 1), (1, 2)]
+    path.write_text(json.dumps({
+        "n": 3, "directed": True, "multigraph": True,
+        "edges": [{"src": s, "dst": d} for s, d in edges],
+    }))
+    return path
+
+
+def test_parser_is_built_once_and_answers_like_a_fresh_one(round33, tmp_path, capsys, monkeypatch):
+    assert build_parser() is not build_parser()
+    yarn = _yarn_doc(tmp_path)
+    argvs = [
+        ["decide", "--frobnicate", str(round33)],
+        ["--help"],
+        ["decide", "--sweep", "--json", str(round33)],
+        ["cover", "--json", str(round33)],
+        ["yarn", "min-k", "--json", str(yarn)],
+    ]
+    parser = cli._parser  # built by the round33 fixture's `gen` call
+    assert parser is not None
+    reused = [run(capsys, *argv) for argv in argvs]
+    assert cli._parser is parser
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", build_parser())
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in reused] == [2, 0, 0, 0, 0]
+    assert reused == fresh
+    assert reused[1][1].startswith("usage: knitgraph")
+
+
+def test_unexpected_exception_is_status_2(round33, capsys, monkeypatch):
+    def broken(_graph):
+        raise RuntimeError("solver blew up")
+
+    monkeypatch.setattr(cli, "minimum_path_cover", broken)
+    code, out, err = run(capsys, "cover", "--json", str(round33))
+    assert code == 2
+    assert out == ""
+    assert err == "error: RuntimeError: solver blew up\n"
+
+
+_CHAIN = [{"src": 0, "dst": 1, "color": "blue"}, {"src": 1, "dst": 2, "color": "blue"}]
+_LAYOUT = {"0": [0, 0], "1": [0, 1], "2": [0, 2]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["validate"], {"edges": [{"src": 0, "dst": 1, "color": []}]}),
+        (["validate"], {"edges": [{"src": 0, "dst": 1, "color": {}}]}),
+        (["validate"], {"edges": _CHAIN, "meta": {"k": "x"}}),
+        (["validate"], {"edges": _CHAIN, "meta": {"k": True}}),
+        (["yarn", "check"], {"multigraph": True, "edges": [{"src": 0, "dst": 1}],
+                             "meta": {"k": "q"}}),
+        (["rows", "--json"], {"edges": _CHAIN, "layout": _LAYOUT, "meta": {"threads": 5}}),
+        (["rows", "--json"], {"edges": _CHAIN, "layout": _LAYOUT,
+                              "meta": {"threads": [[0, "a"]]}}),
+    ],
+    ids=["color-list", "color-dict", "k-str", "k-bool", "yarn-k-str", "threads-int",
+         "threads-str-id"],
+)
+def test_bad_meta_and_colors_are_schema_errors(tmp_path, capsys, argv, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 3, "directed": True, **doc}))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

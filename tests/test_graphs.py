@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knitgraph import (
     CycleDetectedError,
+    DirectedKnitGraph,
     DuplicateEdgeError,
     EdgeColor,
     InconsistentPairError,
@@ -11,8 +14,11 @@ from knitgraph import (
     MultiplicityTooHighError,
     SelfLoopError,
     YarnGraph,
+    all_fixtures,
     build_directed_graph,
+    decide_k_knittable,
     gen_stitch_fixture,
+    gen_stockinette,
     reduce_yarn_to_directed,
     topological_sort,
     underlying_knitting_graph,
@@ -142,3 +148,84 @@ def test_graph_equality_ignores_edge_order():
 def test_degrees():
     g = build_directed_graph(3, [(0, 1, B), (0, 2, R)])
     assert g.degrees() == [(0, 2), (1, 0), (1, 0)]
+
+
+def _validate_bruteforce(n, edges):
+    """Reference for the constructor's checks: one frozenset per unordered
+    pair and a key-lambda sort. The oracle of the int-keyed check."""
+    seen_pairs = set()
+    for src, dst, _color in edges:
+        if src == dst:
+            raise SelfLoopError(src)
+        if not (0 <= src < n) or not (0 <= dst < n):
+            raise IndexOutOfRangeError(src if src >= n or src < 0 else dst, n)
+        pair = frozenset((src, dst))
+        if pair in seen_pairs:
+            raise DuplicateEdgeError(src, dst)
+        seen_pairs.add(pair)
+    return tuple(sorted(edges, key=lambda e: (e[0], e[1])))
+
+
+def _outcome(check):
+    try:
+        return "ok", check()
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), exc.args
+
+
+@st.composite
+def _edge_lists(draw):
+    n = draw(st.integers(0, 8))
+    vertex = st.integers(-2, n + 1)
+    color = st.sampled_from(list(EdgeColor))
+    edges = draw(st.lists(st.tuples(vertex, vertex, color), max_size=12))
+    # plant duplicate and reversed copies of drawn pairs, in any color
+    for _ in range(draw(st.integers(0, 3))):
+        if edges:
+            s, d, _ = draw(st.sampled_from(edges))
+            pair = (d, s) if draw(st.booleans()) else (s, d)
+            at = draw(st.integers(0, len(edges)))
+            edges.insert(at, (*pair, draw(color)))
+    return n, edges
+
+
+@settings(max_examples=600, deadline=None)
+@given(_edge_lists())
+def test_validation_matches_frozenset_oracle(case):
+    n, edges = case
+    expected = _outcome(lambda: _validate_bruteforce(n, edges))
+    got = _outcome(lambda: DirectedKnitGraph(n, tuple(edges)).edges)
+    assert got == expected
+
+
+def test_validation_oracle_covers_every_error():
+    # the first error in edge order wins, whatever its kind
+    cases = {
+        (3, ((0, 1, B), (1, 0, R), (2, 2, B))): DuplicateEdgeError,
+        (3, ((0, 1, B), (2, 2, B), (1, 0, R))): SelfLoopError,
+        (3, ((0, 3, B), (1, 1, B))): IndexOutOfRangeError,
+        (3, ((-1, -1, B), (0, 5, B))): SelfLoopError,
+        (3, ((-1, 2, B),)): IndexOutOfRangeError,
+    }
+    for (n, edges), error in cases.items():
+        expected = _outcome(lambda: _validate_bruteforce(n, edges))
+        assert expected[0] is error
+        assert _outcome(lambda: DirectedKnitGraph(n, edges).edges) == expected
+
+
+def _witness_round_3x3():
+    g = gen_stockinette(3, 3, round=True).graph
+    uncolored = DirectedKnitGraph(g.n, tuple((s, d, U) for s, d, _ in g.edges))
+    coloring, _cover = decide_k_knittable(uncolored, 1)
+    return uncolored, coloring
+
+
+def test_recolored_equals_a_validated_graph():
+    cases = [(f.graph, {(s, d): R for s, d, _ in f.graph.edges[::2]}) for f in all_fixtures()]
+    cases.append(_witness_round_3x3())
+    for g, coloring in cases:
+        trusted = g.recolored(coloring)
+        validated = DirectedKnitGraph(g.n, trusted.edges[::-1])
+        assert trusted == validated
+        assert hash(trusted) == hash(validated)
+        assert trusted.edges == tuple((s, d, coloring.get((s, d), c)) for s, d, c in g.edges)

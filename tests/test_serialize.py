@@ -85,6 +85,11 @@ def test_invalid_json_reports_line():
         parse_json(b"{not json")
 
 
+def test_invalid_utf8_is_schema_error():
+    with pytest.raises(SchemaError, match="invalid utf-8 at byte 1"):
+        parse_document(b'{\xff}')
+
+
 def test_layout_round_trip_keeps_fractions():
     kfb_doc = parse_document(
         serialize_json(
@@ -116,3 +121,75 @@ def test_serialized_form_is_valid_schema():
     doc = json.loads(serialize_json(GraphDocument(f.graph, f.layout, {"k": 1})))
     assert set(doc) <= {"n", "directed", "multigraph", "edges", "layout", "meta"}
     assert all(set(e) == {"src", "dst", "color"} for e in doc["edges"])
+
+
+def _doc(edges, meta=None, **top):
+    return json.dumps({"n": 3, "directed": True, "edges": edges, "meta": meta, **top})
+
+
+@pytest.mark.parametrize("multigraph", [False, True])
+@pytest.mark.parametrize("color", [[], {}, ["blue"]])
+def test_unhashable_color_is_schema_error(color, multigraph):
+    doc = _doc([{"src": 0, "dst": 1, "color": color}], multigraph=multigraph)
+    with pytest.raises(SchemaError, match=r"edges\[0\]: unknown color"):
+        parse_document(doc)
+
+
+@pytest.mark.parametrize(
+    "bad_edge, message",
+    [
+        (5, "expected an object"),
+        ({"dst": 1}, "missing field 'src'"),
+        ({"src": 0}, "missing field 'dst'"),
+        ({"src": True, "dst": 1}, "field 'src' must be int"),
+        ({"src": 0, "dst": 1.0}, "field 'dst' must be int"),
+        ({"src": 0, "dst": 1, "color": "green"}, "unknown color 'green'"),
+        ({"src": 0, "dst": 1, "color": True}, "unknown color True"),
+    ],
+)
+def test_edge_errors_name_the_first_bad_edge(bad_edge, message):
+    edges = [{"src": 0, "dst": 1, "color": "blue"}, bad_edge, {"src": 9}]
+    with pytest.raises(SchemaError, match=r"^edges\[1\]: " + message):
+        parse_document(_doc(edges))
+
+
+def test_multigraph_color_error_comes_after_edge_errors():
+    edges = [{"src": 0, "dst": 1, "color": "blue"}, {"src": 1}]
+    with pytest.raises(SchemaError, match="missing field 'dst'"):
+        parse_document(_doc(edges, multigraph=True))
+    with pytest.raises(SchemaError, match="must not carry colors"):
+        parse_document(_doc(edges[:1], multigraph=True))
+
+
+@pytest.mark.parametrize("k", ["x", "q", True, False, -1, 1.0, [1], {}])
+@pytest.mark.parametrize("multigraph", [False, True])
+def test_meta_k_must_be_a_non_negative_int(k, multigraph):
+    with pytest.raises(SchemaError, match="meta: 'k' must be a non-negative int"):
+        parse_document(_doc([], {"k": k}, multigraph=multigraph))
+
+
+@pytest.mark.parametrize(
+    "threads, message",
+    [
+        (5, "'threads' must be a list"),
+        ("012", "'threads' must be a list"),
+        ({"0": [0]}, "'threads' must be a list"),
+        ([0, 1, 2], r"threads\[0\]: expected a list"),
+        ([[0, 1], "2"], r"threads\[1\]: expected a list"),
+        ([[0, "a"]], r"threads\[0\]: 'a' is not a vertex id"),
+        ([[True]], r"threads\[0\]: True is not a vertex id"),
+        ([[0], [3]], r"threads\[1\]: 3 is not a vertex id for n=3"),
+        ([[-1]], r"threads\[0\]: -1 is not a vertex id"),
+        ([[1.0]], r"threads\[0\]: 1.0 is not a vertex id"),
+    ],
+)
+def test_meta_threads_must_be_lists_of_vertex_ids(threads, message):
+    with pytest.raises(SchemaError, match="meta.*" + message):
+        parse_document(_doc([], {"threads": threads}))
+
+
+def test_meta_k_and_threads_accepted():
+    for meta in ({"k": 0, "threads": [[0, 1], [2], []]}, {"k": None, "threads": None}, {"k": 7}):
+        assert parse_document(_doc([], meta)).meta == meta
+    yarn = parse_document(_doc([{"src": 0, "dst": 1}], {"k": 2}, multigraph=True))
+    assert yarn.graph.yarn_count_hint == 2
