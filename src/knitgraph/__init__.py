@@ -30,8 +30,7 @@ from .graphs import (
     EdgeColor,
     KnittingGraph,
     YarnGraph,
-    build_directed_graph,
-    build_yarn_graph,
+    component_labels,
     is_dag,
     reduce_yarn_to_directed,
     topological_sort,
@@ -42,7 +41,6 @@ from .serialize import (
     Layout,
     export_dot,
     parse_document,
-    parse_json,
     serialize_json,
 )
 from .feasibility import (
@@ -90,15 +88,14 @@ from .layout import (
     CrossingGraph,
     SimplicityReport,
     cable_width,
+    check_simple_knittable,
     classify_complexity,
     count_rows,
     crossing_graph,
     is_planar,
-    test_simple_knittable,
 )
 from .patterns import (
     Fixture,
-    PatternSpec,
     all_fixtures,
     emit_instructions,
     gen_brioche_maximal,

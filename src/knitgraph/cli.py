@@ -25,6 +25,7 @@ from .feasibility import (
     check_coloring,
     feasibility_table,
     format_role_set,
+    thread_paths,
 )
 from .graphs import DirectedKnitGraph, EdgeColor, YarnGraph, underlying_knitting_graph
 from .layout import cable_width, classify_complexity, count_rows, is_planar
@@ -65,11 +66,7 @@ def _cover_from_doc(doc: GraphDocument):
     threads = doc.meta.get("threads")
     if threads is not None:
         return tuple(tuple(t) for t in threads)
-    from .feasibility import _thread_paths
-
-    paths, problems = _thread_paths(
-        doc.graph, {EdgeColor.BLUE, EdgeColor.PURPLE}
-    )
+    paths, problems = thread_paths(doc.graph, {EdgeColor.BLUE, EdgeColor.PURPLE})
     if problems:
         raise KnitError("; ".join(problems))
     return paths
@@ -283,6 +280,17 @@ def _cmd_hamiltonian(args) -> int:
     return OK
 
 
+def _non_negative_int(text: str) -> int:
+    """Type of every --k flag: a non-negative int, as for meta.k."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative int, found {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="knitgraph",
@@ -306,20 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="decide exact-k thread feasibility of a DAG")
     p.add_argument("file")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_non_negative_int, default=1)
     p.add_argument("--sweep", action="store_true", help="report every feasible k")
     common(p)
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("cover", help="minimum path cover of a DAG")
     p.add_argument("file")
-    p.add_argument("--min", action="store_true", help="minimize the path count (default)")
     common(p)
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("oracle", help="exhaustive small-graph feasibility check")
     p.add_argument("file")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_non_negative_int, default=1)
     p.add_argument("--cap", type=int, default=10, help="vertex cap (default 10)")
     common(p)
     p.set_defaults(func=_cmd_oracle)
@@ -343,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     ysub = p.add_subparsers(dest="yarn_command", required=True)
     yc = ysub.add_parser("check", help="can this be a k-yarn trace?")
     yc.add_argument("file")
-    yc.add_argument("--k", type=int, default=None)
+    yc.add_argument("--k", type=_non_negative_int, default=None)
     common(yc)
     yc.set_defaults(func=_cmd_yarn)
     ym = ysub.add_parser("min-k", help="minimum yarn count and trails")

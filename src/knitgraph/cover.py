@@ -87,13 +87,14 @@ def build_flow_network(
     """
     if EdgeColor.PURPLE in g.colors():
         raise PurplePresentError()
-    return _assemble_network(g, k, vertex_roles(g, rule), exact=True)
+    return _assemble_network(g, vertex_roles(g, rule), k, k)
 
 
 def _assemble_network(
-    g: DirectedKnitGraph, k: int, roles: list[frozenset], *, exact: bool
+    g: DirectedKnitGraph, roles: list[frozenset], lower: int, upper: int
 ) -> FlowNetwork:
-    net = FlowNetwork(g.n, k)
+    """The split-vertex network with both super arcs bounded by [lower, upper]."""
+    net = FlowNetwork(g.n)
     for v in range(g.n):
         net.add(2 * v, 2 * v + 1, 1, 1, SPLIT, v)
     for src, dst, _color in g.edges:
@@ -107,8 +108,6 @@ def _assemble_network(
     for v in range(g.n):
         if Role.T in roles[v]:
             net.add(2 * v + 1, net.t_in, 0, 1, SINK, v)
-    upper = k if exact else g.n
-    lower = k if exact else 0
     net.add(net.s_in, net.s_out, lower, upper, SUPER, None)
     net.add(net.t_in, net.t_out, lower, upper, SUPER, None)
     return net
@@ -193,7 +192,7 @@ def sweep_feasible_k(
         roles = vertex_roles(g, rule)
     except InfeasibleVertexError:
         return []
-    bounds = solve_flow_range(_assemble_network(g, 0, roles, exact=False))
+    bounds = solve_flow_range(_assemble_network(g, roles, 0, g.n))
     if bounds is None:
         return []
     least, greatest = bounds
@@ -211,7 +210,7 @@ def minimum_path_cover(g: DirectedKnitGraph) -> tuple[int, ThreadCover]:
     if g.n == 0:
         return 0, ()
     all_roles = frozenset({Role.S, Role.M, Role.T})
-    net = _assemble_network(g, 0, [all_roles] * g.n, exact=False)
+    net = _assemble_network(g, [all_roles] * g.n, 0, g.n)
     solved = solve_minimum_flow(net)
     if solved is None:  # cannot happen: singleton paths always cover
         raise AssertionError("path cover network must be feasible")

@@ -91,7 +91,7 @@ class ColoringReport:
     problems: list[str] = field(default_factory=list)
 
 
-def _thread_paths(
+def thread_paths(
     g: DirectedKnitGraph, thread_colors: set[EdgeColor]
 ) -> tuple[tuple[tuple[int, ...], ...], list[str]]:
     """Decompose the thread-colored arcs into vertex-disjoint paths.
@@ -155,7 +155,7 @@ def check_coloring(
         raise PurplePresentError()
 
     thread_colors = {EdgeColor.BLUE, EdgeColor.PURPLE} if allow_purple else {EdgeColor.BLUE}
-    paths, problems = _thread_paths(g, thread_colors)
+    paths, problems = thread_paths(g, thread_colors)
     if problems:
         return ColoringReport(False, k, 0, (), problems)
 

@@ -42,7 +42,6 @@ class FlowNetwork:
     """
 
     n: int
-    k: int
     arcs: list[Arc] = field(default_factory=list)
 
     @property
@@ -67,9 +66,6 @@ class FlowNetwork:
 
     def add(self, tail: int, head: int, lower: int, upper: int, kind: str, ref=None):
         self.arcs.append((tail, head, lower, upper, kind, ref))
-
-    def arcs_of_kind(self, kind: str) -> list[Arc]:
-        return [a for a in self.arcs if a[4] == kind]
 
 
 class _Dinic:

@@ -90,12 +90,6 @@ class DirectedKnitGraph:
             adj[src].append((dst, color))
         return adj
 
-    def in_adj(self) -> list[list[tuple[int, EdgeColor]]]:
-        adj: list[list[tuple[int, EdgeColor]]] = [[] for _ in range(self.n)]
-        for src, dst, color in self.edges:
-            adj[dst].append((src, color))
-        return adj
-
     def degrees(self) -> list[tuple[int, int]]:
         """Total (indegree, outdegree) per vertex, colors ignored."""
         indeg = [0] * self.n
@@ -184,15 +178,36 @@ class YarnGraph:
         return list(zip(indeg, outdeg))
 
 
-def build_directed_graph(n: int, edges: list[tuple[int, int, EdgeColor]]) -> DirectedKnitGraph:
-    """Validate and normalize an edge list into a DirectedKnitGraph."""
-    return DirectedKnitGraph(n, tuple(edges))
+def component_labels(n: int, pairs) -> list[int]:
+    """Connected-component label of each vertex in [0, n) under the
+    undirected `pairs`; labels count up from 0 in order of each component's
+    smallest vertex.
 
-
-def build_yarn_graph(
-    n: int, arcs: list[tuple[int, int]], yarn_count_hint: int | None = None
-) -> YarnGraph:
-    return YarnGraph(n, tuple(arcs), yarn_count_hint)
+    Union-find with path halving, where a root is always linked under the
+    smaller root, so parent[v] <= v throughout and every root is the
+    smallest vertex of its component.
+    """
+    parent = list(range(n))
+    for u, v in pairs:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
+    labels = [0] * n
+    count = 0
+    for v in range(n):
+        if parent[v] == v:
+            labels[v] = count
+            count += 1
+        else:  # parent[v] < v is in v's component and already labelled
+            labels[v] = labels[parent[v]]
+    return labels
 
 
 def topological_sort(g: DirectedKnitGraph) -> list[int]:

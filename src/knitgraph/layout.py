@@ -27,8 +27,14 @@ from .errors import (
     NotPlanarLayoutError,
     NotSingleThreadError,
 )
-from .feasibility import RedRule, _thread_paths, check_coloring
-from .graphs import DirectedKnitGraph, EdgeColor, KnittingGraph, underlying_knitting_graph
+from .feasibility import RedRule, check_coloring, thread_paths
+from .graphs import (
+    DirectedKnitGraph,
+    EdgeColor,
+    KnittingGraph,
+    component_labels,
+    underlying_knitting_graph,
+)
 from .serialize import Layout
 
 Point = tuple[Fraction, Fraction]  # (x=col, y=row)
@@ -53,30 +59,15 @@ class CrossingGraph:
     links: tuple[tuple[int, int], ...]  # index pairs into edge_pairs, i < j
 
     def components(self) -> list[tuple[set[int], int]]:
-        """(node set, link count) per connected component."""
-        adj: dict[int, set[int]] = {i: set() for i in range(len(self.edge_pairs))}
-        for i, j in self.links:
-            adj[i].add(j)
-            adj[j].add(i)
-        label: dict[int, int] = {}
-        comps: list[set[int]] = []
-        for i in range(len(self.edge_pairs)):
-            if i in label:
-                continue
-            comp = {i}
-            stack = [i]
-            label[i] = len(comps)
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in label:
-                        label[w] = len(comps)
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(comp)
+        """(node set, link count) per connected component, ordered by
+        smallest node."""
+        labels = component_labels(len(self.edge_pairs), self.links)
+        comps: list[set[int]] = [set() for _ in range(max(labels, default=-1) + 1)]
+        for i, label in enumerate(labels):
+            comps[label].add(i)
         link_counts = [0] * len(comps)
         for i, _j in self.links:
-            link_counts[label[i]] += 1
+            link_counts[labels[i]] += 1
         return list(zip(comps, link_counts))
 
     def max_component_links(self) -> int:
@@ -370,7 +361,7 @@ def classify_complexity(
 def _class0_configs_ok(g: DirectedKnitGraph, rule: RedRule) -> bool:
     if EdgeColor.UNCOLORED in g.colors():
         return False
-    paths, problems = _thread_paths(g, {EdgeColor.BLUE, EdgeColor.PURPLE})
+    paths, problems = thread_paths(g, {EdgeColor.BLUE, EdgeColor.PURPLE})
     if problems:
         return False
     return check_coloring(g, len(paths), rule, allow_purple=True).valid
@@ -415,7 +406,7 @@ def _count_rows_by_sides(
     return 1 + changes
 
 
-def _row_layers(g: DirectedKnitGraph, thread: tuple[int, ...]) -> list[int]:
+def row_layers(g: DirectedKnitGraph, thread: tuple[int, ...]) -> list[int]:
     """Row index per thread position: a stitch sits one row above the
     stitches it passes through, and rows never decrease along the thread."""
     loop_parents: dict[int, list[int]] = {v: [] for v in thread}
@@ -451,7 +442,7 @@ def count_rows(
         return 0
     if layout is not None:
         return _count_rows_by_sides(g, thread, layout)
-    return _row_layers(g, thread)[-1] + 1
+    return row_layers(g, thread)[-1] + 1
 
 
 @dataclass(frozen=True)
@@ -463,7 +454,7 @@ class SimplicityReport:
     layout: Layout | None
 
 
-def test_simple_knittable(g: DirectedKnitGraph, cover) -> SimplicityReport:
+def check_simple_knittable(g: DirectedKnitGraph, cover) -> SimplicityReport:
     """Zero-interleaving test along a single thread.
 
     Loop edges within one row band must be nested or parallel in thread
@@ -472,7 +463,7 @@ def test_simple_knittable(g: DirectedKnitGraph, cover) -> SimplicityReport:
     """
     thread = _thread_of(cover)
     pos = {v: i for i, v in enumerate(thread)}
-    rows = _row_layers(g, thread)
+    rows = row_layers(g, thread)
     row_of = {v: rows[i] for i, v in enumerate(thread)}
 
     chords: list[tuple[int, int, tuple[int, int]]] = []

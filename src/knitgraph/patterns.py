@@ -11,14 +11,14 @@ fixtures anchor on cast-on or bind-off stitches and declare EXTENDED.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cover import ThreadCover
 from .errors import BadDimsError, NotSingleThreadError
 from .graphs import DirectedKnitGraph, EdgeColor, YarnGraph
 from .feasibility import RedRule
-from .layout import ComplexityClass, _row_layers
+from .layout import ComplexityClass, row_layers
 from .serialize import Layout
 from .yarn import yarn_from_threads
 
@@ -27,7 +27,6 @@ RED = EdgeColor.RED
 PURPLE = EdgeColor.PURPLE
 
 STITCH_NAMES = ("yo", "kfb", "k2tog", "c1b")
-INSERT_STITCHES = ("k", "yo", "kfb", "k2tog", "k3tog", "c1b")
 
 
 @dataclass(frozen=True)
@@ -43,27 +42,6 @@ class Fixture:
     expected_class: ComplexityClass
     k: int
     rule: RedRule
-
-
-@dataclass(frozen=True)
-class PatternSpec:
-    """Grid pattern description with optional stitch inserts."""
-
-    rows: int
-    cols: int
-    round: bool = False
-    inserts: tuple[tuple[tuple[int, int], str], ...] = field(default_factory=tuple)
-
-    def validate(self, rule: RedRule = RedRule.STRICT) -> None:
-        if self.rows < 1 or self.cols < 2:
-            raise BadDimsError(f"rows={self.rows}, cols={self.cols}")
-        for (r, c), stitch in self.inserts:
-            if stitch not in INSERT_STITCHES:
-                raise BadDimsError(f"unknown stitch {stitch!r}")
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise BadDimsError(f"insert at ({r},{c}) outside the grid")
-            if stitch == "k3tog" and rule is not RedRule.EXTENDED:
-                raise BadDimsError("k3tog needs the extended rule")
 
 
 def _make_fixture(name, n, edges, layout, expected, rule, threads=None) -> Fixture:
@@ -268,7 +246,7 @@ def emit_instructions(fixture: Fixture) -> str:
     for src, dst, color in g.edges:
         if color in (RED, PURPLE):
             loop_parents[dst].append(src)
-    rows = _row_layers(g, thread)
+    rows = row_layers(g, thread)
 
     lines: dict[int, list[str]] = {}
     for i, v in enumerate(thread):

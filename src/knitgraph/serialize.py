@@ -2,7 +2,7 @@
 
 Schema (UTF-8 JSON):
 
-    {"n": int, "directed": bool, "multigraph": bool,
+    {"n": int, "directed": true, "multigraph": bool,
      "edges": [{"src": int, "dst": int, "color": "blue"|"red"|"purple"|null}],
      "layout": {"<id>": [row, col]}?,            # optional; one per vertex
      "meta": {"k": int?, "threads": [[int, ...], ...]?,
@@ -101,7 +101,8 @@ def parse_document(data: bytes | str) -> GraphDocument:
     n = _require(raw, "n", int, "top level")
     if n < 0:
         raise SchemaError("top level: n must be non-negative")
-    directed = _require(raw, "directed", bool, "top level")
+    if not _require(raw, "directed", bool, "top level"):
+        raise SchemaError("top level: 'directed' must be true")
     multigraph = raw.get("multigraph", False)
     if not isinstance(multigraph, bool):
         raise SchemaError("top level: 'multigraph' must be a bool")
@@ -159,16 +160,10 @@ def parse_document(data: bytes | str) -> GraphDocument:
     if multigraph:
         if colored:
             raise SchemaError("multigraph edges must not carry colors")
-        if not directed:
-            raise SchemaError("yarn graphs are directed")
         graph: DirectedKnitGraph | YarnGraph = YarnGraph(n, tuple(edges), meta.get("k"))
     else:
         graph = DirectedKnitGraph(n, tuple(edges))
     return GraphDocument(graph, layout, meta)
-
-
-def parse_json(data: bytes | str) -> DirectedKnitGraph | YarnGraph:
-    return parse_document(data).graph
 
 
 def _col_to_json(col: Fraction):
@@ -178,16 +173,11 @@ def _col_to_json(col: Fraction):
 
 
 def serialize_json(
-    obj: GraphDocument | DirectedKnitGraph | YarnGraph,
-    *,
-    layout: Layout | None = None,
-    meta: dict | None = None,
-    indent: int | None = None,
+    obj: GraphDocument | DirectedKnitGraph | YarnGraph, *, indent: int | None = None
 ) -> bytes:
-    if isinstance(obj, GraphDocument):
-        graph, layout, meta = obj.graph, obj.layout, obj.meta
-    else:
-        graph = obj
+    if not isinstance(obj, GraphDocument):
+        obj = GraphDocument(obj)
+    graph, layout, meta = obj.graph, obj.layout, obj.meta
     doc: dict = {"n": graph.n, "directed": True}
     if isinstance(graph, YarnGraph):
         doc["multigraph"] = True

@@ -12,8 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import KnitError, NoEulerianPathError
-from .graphs import DirectedKnitGraph, EdgeColor, YarnGraph, reduce_yarn_to_directed
-from .feasibility import RedRule, check_coloring
+from .graphs import (
+    DirectedKnitGraph,
+    EdgeColor,
+    YarnGraph,
+    component_labels,
+    reduce_yarn_to_directed,
+)
+from .feasibility import RedRule, check_coloring, thread_paths
 
 
 @dataclass(frozen=True)
@@ -62,27 +68,13 @@ def yarn_from_threads(g: DirectedKnitGraph, cover) -> YarnGraph:
 
 def _weak_components(y: YarnGraph) -> list[list[int]]:
     """Weakly-connected components restricted to arc-bearing vertices."""
-    neighbors: dict[int, set[int]] = {}
-    for src, dst in y.arcs:
-        neighbors.setdefault(src, set()).add(dst)
-        neighbors.setdefault(dst, set()).add(src)
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for v in sorted(neighbors):
-        if v in seen:
-            continue
-        comp = []
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in neighbors[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+    labels = component_labels(y.n, y.arcs)
+    comps: list[list[int]] = [[] for _ in range(max(labels, default=-1) + 1)]
+    for v, label in enumerate(labels):
+        comps[label].append(v)
+    # Yarn graphs have no self-loops, so a vertex bears arcs exactly when
+    # its component has another vertex.
+    return [comp for comp in comps if len(comp) > 1]
 
 
 class _TrailWalker:
@@ -93,20 +85,21 @@ class _TrailWalker:
     strands, consumed as atomic down-up detours), then (3) the lowest-index
     remaining arc. This keeps sequential arcs of a well-formed yarn graph in
     thread order inside each trail.
+
+    A walk never leaves the weak component it starts in, so one walker
+    serves every component; `remaining` counts the unused arcs of the
+    component being walked and is set by the caller.
     """
 
-    def __init__(self, y: YarnGraph, allowed: set[int] | None = None):
+    def __init__(self, y: YarnGraph):
         self.y = y
         self.used = [False] * y.m
         self.out: dict[int, list[int]] = {}
         self.by_dir: dict[tuple[int, int], list[int]] = {}
         for i, (src, dst) in enumerate(y.arcs):
-            if allowed is not None and src not in allowed:
-                self.used[i] = True
-                continue
             self.out.setdefault(src, []).append(i)
             self.by_dir.setdefault((src, dst), []).append(i)
-        self.remaining = sum(1 for u in self.used if not u)
+        self.remaining = 0
 
     def _first_unused(self, direction: tuple[int, int]) -> int | None:
         for i in self.by_dir.get(direction, ()):
@@ -169,25 +162,20 @@ class _TrailWalker:
                 raise NoEulerianPathError("disconnected")
 
 
-def _component_trails(y: YarnGraph, comp: list[int]) -> list[Trail]:
-    comp_set = set(comp)
-    walker = _TrailWalker(y, comp_set)
-    outdeg: dict[int, int] = {v: 0 for v in comp}
-    indeg: dict[int, int] = {v: 0 for v in comp}
-    for src, dst in y.arcs:
-        if src in comp_set:
-            outdeg[src] += 1
-            indeg[dst] += 1
-    starts: list[int] = []
-    for v in comp:
-        starts.extend([v] * max(0, outdeg[v] - indeg[v]))
-    if not starts:
-        starts = [comp[0]]
-    raw: list[tuple[list[int], list[int]]] = []
-    for s in starts:
-        raw.append(walker.walk(s))
-    walker.splice_leftovers(raw)
-    return [Trail(tuple(a), tuple(v)) for a, v in raw]
+def _component_trails(y: YarnGraph, comps: list[list[int]]) -> list[Trail]:
+    """Trails covering the arcs of each weak component in `comps` (sorted
+    vertex lists): one per unit of out-excess, started at the excess
+    vertices in id order, or one from the smallest vertex if balanced."""
+    walker = _TrailWalker(y)
+    degrees = y.degrees()
+    trails: list[Trail] = []
+    for comp in comps:
+        walker.remaining = sum(degrees[v][1] for v in comp)
+        starts = [v for v in comp for _ in range(degrees[v][1] - degrees[v][0])]
+        raw = [walker.walk(s) for s in starts or comp[:1]]
+        walker.splice_leftovers(raw)
+        trails.extend(Trail(tuple(a), tuple(v)) for a, v in raw)
+    return trails
 
 
 def minimum_yarns(y: YarnGraph) -> tuple[int, TrailDecomposition]:
@@ -196,9 +184,7 @@ def minimum_yarns(y: YarnGraph) -> tuple[int, TrailDecomposition]:
     Each arc-bearing weak component contributes max(1, total out-excess)
     trails; trail starts are forced at excess vertices, smallest id first.
     """
-    trails: list[Trail] = []
-    for comp in _weak_components(y):
-        trails.extend(_component_trails(y, comp))
+    trails = _component_trails(y, _weak_components(y))
     return len(trails), tuple(trails)
 
 
@@ -212,58 +198,29 @@ def eulerian_path(y: YarnGraph, component: list[int] | None = None) -> Trail:
         comps = _weak_components(y)
         if len(comps) > 1:
             raise NoEulerianPathError("disconnected")
-        if not comps:
-            return Trail((), ())
-        comp = comps[0]
+        comp = comps[0] if comps else []
     else:
-        comp = sorted(component)
-        comp_set = set(comp)
-        sub = [a for a in y.arcs if a[0] in comp_set or a[1] in comp_set]
-        if any(a[0] not in comp_set or a[1] not in comp_set for a in sub):
+        comp_set = set(component)
+        if any((src in comp_set) != (dst in comp_set) for src, dst in y.arcs):
             raise NoEulerianPathError("disconnected", "arcs leave the component")
+        comp = [v for v in range(y.n) if v in comp_set]
 
-    comp_set = set(comp)
-    outdeg = {v: 0 for v in comp}
-    indeg = {v: 0 for v in comp}
-    has_arcs = False
-    for src, dst in y.arcs:
-        if src in comp_set:
-            outdeg[src] += 1
-            indeg[dst] += 1
-            has_arcs = True
-    if not has_arcs:
+    # No arc leaves `comp`, so its vertices' degrees are those of the graph.
+    degrees = y.degrees()
+    bearing = [v for v in comp if degrees[v] != (0, 0)]
+    if not bearing:
         return Trail((), ())
-
-    imbalances = [(v, outdeg[v] - indeg[v]) for v in comp if outdeg[v] != indeg[v]]
-    pos = [v for v, d in imbalances if d == 1]
-    neg = [v for v, d in imbalances if d == -1]
-    if any(abs(d) > 1 for _, d in imbalances) or len(pos) > 1 or len(neg) > 1:
+    excess = [o - i for i, o in degrees]
+    imbalances = [(v, excess[v]) for v in comp if excess[v]]
+    if sorted(d for _, d in imbalances) not in ([], [-1], [1], [-1, 1]):
         raise NoEulerianPathError("imbalance", imbalances)
+    if component is not None:
+        labels = component_labels(y.n, y.arcs)
+        if any(labels[v] != labels[bearing[0]] for v in bearing):
+            raise NoEulerianPathError("disconnected")
 
-    # connectivity among arc-bearing vertices of the component
-    bearing = {v for v in comp if outdeg[v] or indeg[v]}
-    neighbors: dict[int, set[int]] = {v: set() for v in bearing}
-    for src, dst in y.arcs:
-        if src in comp_set:
-            neighbors[src].add(dst)
-            neighbors[dst].add(src)
-    seen = {min(bearing)}
-    stack = [min(bearing)]
-    while stack:
-        u = stack.pop()
-        for w in neighbors[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if seen != bearing:
-        raise NoEulerianPathError("disconnected")
-
-    walker = _TrailWalker(y, comp_set)
-    start = pos[0] if pos else min(bearing)
-    raw = [walker.walk(start)]
-    walker.splice_leftovers(raw)
-    arcs, vertices = raw[0]
-    return Trail(tuple(arcs), tuple(vertices))
+    (trail,) = _component_trails(y, [bearing])
+    return trail
 
 
 @dataclass
@@ -292,10 +249,11 @@ def is_yarn_graph_of_k_knittable(
     except KnitError as exc:  # reduction errors are verdicts here, not crashes
         reasons.append(f"{type(exc).__name__}: {exc}")
         return YarnCheckReport(False, count, 0, reasons)
-    paths = _sequential_path_count(reduced)
-    if paths is None:
+    threads, problems = thread_paths(reduced, {EdgeColor.BLUE, EdgeColor.PURPLE})
+    if problems:
         reasons.append("sequential arcs do not form vertex-disjoint paths")
         return YarnCheckReport(False, count, 0, reasons)
+    paths = len(threads)
     if paths > k:
         reasons.append(f"sequential skeleton forms {paths} threads, only {k} allowed")
     report = check_coloring(reduced, paths, rule, allow_purple=True)
@@ -303,11 +261,3 @@ def is_yarn_graph_of_k_knittable(
         reasons.extend(report.problems)
     return YarnCheckReport(not reasons, count, paths, reasons)
 
-
-def _sequential_path_count(g: DirectedKnitGraph) -> int | None:
-    from .feasibility import _thread_paths
-
-    paths, problems = _thread_paths(g, {EdgeColor.BLUE, EdgeColor.PURPLE})
-    if problems:
-        return None
-    return len(paths)

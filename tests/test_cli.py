@@ -86,7 +86,7 @@ def test_unknown_flag_is_status_2(capsys):
 
 
 def test_cover_min(round33, capsys):
-    code, out, _ = run(capsys, "cover", "--min", "--json", str(round33))
+    code, out, _ = run(capsys, "cover", "--json", str(round33))
     assert code == 0
     assert json.loads(out)["k"] == 1
 
@@ -297,9 +297,12 @@ _LAYOUT = {"0": [0, 0], "1": [0, 1], "2": [0, 2]}
         (["rows", "--json"], {"edges": _CHAIN, "layout": _LAYOUT, "meta": {"threads": 5}}),
         (["rows", "--json"], {"edges": _CHAIN, "layout": _LAYOUT,
                               "meta": {"threads": [[0, "a"]]}}),
+        (["decide", "--json"], {"directed": False, "edges": _CHAIN}),
+        (["yarn", "min-k"], {"directed": False, "multigraph": True,
+                             "edges": [{"src": 0, "dst": 1}]}),
     ],
     ids=["color-list", "color-dict", "k-str", "k-bool", "yarn-k-str", "threads-int",
-         "threads-str-id"],
+         "threads-str-id", "undirected", "undirected-yarn"],
 )
 def test_bad_meta_and_colors_are_schema_errors(tmp_path, capsys, argv, doc):
     path = tmp_path / "bad.json"
@@ -308,3 +311,19 @@ def test_bad_meta_and_colors_are_schema_errors(tmp_path, capsys, argv, doc):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["decide"], ["oracle"], ["yarn", "check"]],
+                         ids=["decide", "oracle", "yarn-check"])
+def test_negative_k_is_a_usage_error(round33, tmp_path, capsys, command):
+    path = _yarn_doc(tmp_path) if command[0] == "yarn" else round33
+    for bad in ("-1", "x"):
+        code, out, err = run(capsys, *command, "--k", bad, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("error:") == 1
+        assert f"argument --k: expected a non-negative int, found '{bad}'" in err
+    # k = 0 is still a query, answered with a negative verdict
+    code, out, _ = run(capsys, *command, "--k", "0", "--json", str(path))
+    assert code == 1
+    assert json.loads(out)

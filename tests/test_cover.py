@@ -77,13 +77,13 @@ def test_hamiltonian_rejects_cycles():
 def test_network_structure_round_3x3():
     f = gen_stockinette(3, 3, round=True)
     net = build_flow_network(f.graph, 1)
-    splits = net.arcs_of_kind(SPLIT)
+    splits = [a for a in net.arcs if a[4] == SPLIT]
     assert len(splits) == 9
     assert all(a[2] == a[3] == 1 for a in splits)
-    supers = net.arcs_of_kind(SUPER)
+    supers = [a for a in net.arcs if a[4] == SUPER]
     assert len(supers) == 2
     assert all(a[2] == a[3] == 1 for a in supers)
-    assert all(a[2] == 0 and a[3] == 1 for a in net.arcs_of_kind("original"))
+    assert all(a[2] == 0 and a[3] == 1 for a in net.arcs if a[4] == ORIGINAL)
 
 
 def test_network_rejects_infeasible_vertex():
@@ -121,7 +121,7 @@ def test_flow_exists_round_3x3():
 
 
 def test_unsatisfiable_isolated_split_arc():
-    net = FlowNetwork(1, 0)
+    net = FlowNetwork(1)
     net.add(0, 1, 1, 1, SPLIT, 0)
     assert solve_flow_with_bounds(net) is None
 
@@ -313,7 +313,7 @@ def test_sweep_equals_per_k_oracle_on_rounds(rows, cols, rule):
 def _relaxed_all_roles(n, edges):
     """The path-cover network by hand: every vertex may start, continue or
     end a thread, and both super arcs allow 0..n threads."""
-    net = FlowNetwork(n, 0)
+    net = FlowNetwork(n)
     for v in range(n):
         net.add(2 * v, 2 * v + 1, 1, 1, SPLIT, v)
     for s, d in edges:
@@ -334,7 +334,7 @@ def test_flow_range_on_relaxed_networks():
 
 
 def test_flow_range_infeasible_and_pinned():
-    net = FlowNetwork(1, 0)
+    net = FlowNetwork(1)
     net.add(0, 1, 1, 1, SPLIT, 0)
     assert solve_flow_range(net) is None
     # exact super bounds pin the range to a single value

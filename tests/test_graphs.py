@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from knitgraph import (
     SelfLoopError,
     YarnGraph,
     all_fixtures,
-    build_directed_graph,
+    component_labels,
     decide_k_knittable,
     gen_stitch_fixture,
     gen_stockinette,
@@ -28,46 +29,46 @@ B, R, P, U = EdgeColor.BLUE, EdgeColor.RED, EdgeColor.PURPLE, EdgeColor.UNCOLORE
 
 
 def test_build_minimal():
-    g = build_directed_graph(2, [(0, 1, B)])
+    g = DirectedKnitGraph(2, ((0, 1, B),))
     assert g.m == 1
 
 
 def test_build_rejects_self_loop():
     with pytest.raises(SelfLoopError):
-        build_directed_graph(1, [(0, 0, B)])
+        DirectedKnitGraph(1, ((0, 0, B),))
 
 
 def test_build_rejects_duplicate_and_antiparallel():
     with pytest.raises(DuplicateEdgeError):
-        build_directed_graph(2, [(0, 1, B), (0, 1, R)])
+        DirectedKnitGraph(2, ((0, 1, B), (0, 1, R)))
     with pytest.raises(DuplicateEdgeError):
-        build_directed_graph(2, [(0, 1, B), (1, 0, R)])
+        DirectedKnitGraph(2, ((0, 1, B), (1, 0, R)))
 
 
 def test_build_rejects_out_of_range():
     with pytest.raises(IndexOutOfRangeError):
-        build_directed_graph(2, [(0, 2, B)])
+        DirectedKnitGraph(2, ((0, 2, B),))
 
 
 def test_build_kfb_fixture_edges_valid():
     kfb = gen_stitch_fixture("kfb")
-    rebuilt = build_directed_graph(11, list(kfb.graph.edges))
+    rebuilt = DirectedKnitGraph(11, kfb.graph.edges)
     assert rebuilt == kfb.graph
     assert rebuilt.n == 11
 
 
 def test_topological_sort_chain():
-    g = build_directed_graph(3, [(0, 1, U), (1, 2, U)])
+    g = DirectedKnitGraph(3, ((0, 1, U), (1, 2, U)))
     assert topological_sort(g) == [0, 1, 2]
 
 
 def test_topological_sort_tie_break():
-    g = build_directed_graph(2, [])
+    g = DirectedKnitGraph(2, ())
     assert topological_sort(g) == [0, 1]
 
 
 def test_topological_sort_cycle():
-    g = build_directed_graph(3, [(0, 1, U), (1, 2, U), (2, 0, U)])
+    g = DirectedKnitGraph(3, ((0, 1, U), (1, 2, U), (2, 0, U)))
     with pytest.raises(CycleDetectedError) as exc:
         topological_sort(g)
     cycle = exc.value.cycle
@@ -85,7 +86,7 @@ def test_topological_sort_respects_arcs(rng):
 
 
 def test_underlying_single_edge():
-    g = build_directed_graph(2, [(0, 1, B)])
+    g = DirectedKnitGraph(2, ((0, 1, B),))
     kg = underlying_knitting_graph(g)
     assert kg.edges == ((0, 1),)
 
@@ -97,7 +98,7 @@ def test_underlying_kfb_arc_count():
 
 
 def test_underlying_empty():
-    g = build_directed_graph(0, [])
+    g = DirectedKnitGraph(0, ())
     assert underlying_knitting_graph(g).edges == ()
 
 
@@ -140,13 +141,13 @@ def test_reduce_red_direction_follows_supplied_order():
 
 
 def test_graph_equality_ignores_edge_order():
-    a = build_directed_graph(3, [(1, 2, B), (0, 1, B)])
-    b = build_directed_graph(3, [(0, 1, B), (1, 2, B)])
+    a = DirectedKnitGraph(3, ((1, 2, B), (0, 1, B)))
+    b = DirectedKnitGraph(3, ((0, 1, B), (1, 2, B)))
     assert a == b
 
 
 def test_degrees():
-    g = build_directed_graph(3, [(0, 1, B), (0, 2, R)])
+    g = DirectedKnitGraph(3, ((0, 1, B), (0, 2, R)))
     assert g.degrees() == [(0, 2), (1, 0), (1, 0)]
 
 
@@ -229,3 +230,29 @@ def test_recolored_equals_a_validated_graph():
         assert trusted == validated
         assert hash(trusted) == hash(validated)
         assert trusted.edges == tuple((s, d, coloring.get((s, d), c)) for s, d, c in g.edges)
+
+
+@st.composite
+def _pair_lists(draw):
+    """n <= 12 vertices and a pair list that may repeat or reverse pairs,
+    hold self-pairs and leave vertices isolated."""
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return 0, []
+    return n, draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_pair_lists())
+def test_component_labels_match_networkx(case):
+    n, pairs = case
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(pairs)
+    comps = sorted(nx.connected_components(graph), key=min)
+    expected = [0] * n
+    for label, comp in enumerate(comps):
+        for v in comp:
+            expected[v] = label
+    assert component_labels(n, pairs) == expected
+

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knitgraph import test_simple_knittable as simplicity_of
 from knitgraph import (
     BlueCrossingError,
     ComplexityClass,
@@ -18,6 +17,7 @@ from knitgraph import (
     NotSingleThreadError,
     RedRule,
     cable_width,
+    check_simple_knittable,
     classify_complexity,
     count_rows,
     crossing_graph,
@@ -317,6 +317,12 @@ def test_crossing_graph_components_count_links_per_component():
     cg = CrossingGraph(tuple((v, v + 1) for v in range(6)), ((0, 1), (1, 2), (3, 4)))
     assert cg.components() == [({0, 1, 2}, 2), ({3, 4}, 1), ({5}, 0)]
     assert cg.max_component_links() == 2
+    # components are ordered by their smallest node, whatever the link order
+    cg = CrossingGraph(tuple((v, v + 1) for v in range(7)), ((4, 6), (1, 6), (0, 3), (1, 4)))
+    assert cg.components() == [({0, 3}, 1), ({1, 4, 6}, 3), ({2}, 0), ({5}, 0)]
+    assert cg.max_component_links() == 3
+    assert CrossingGraph((), ()).components() == []
+    assert CrossingGraph((), ()).max_component_links() == 0
 
 
 def test_cable_width_blue_crossing_rejected():
@@ -426,7 +432,7 @@ def test_count_rows_rejects_nonplanar():
 
 def test_simplicity_stockinette():
     for f in (gen_stockinette(3, 3), gen_stockinette(4, 5), gen_stockinette(3, 3, round=False)):
-        report = simplicity_of(f.graph, f.cover)
+        report = check_simple_knittable(f.graph, f.cover)
         assert report.swaps == 0
         assert report.layout is not None
         # the induced drawing is plane
@@ -435,21 +441,21 @@ def test_simplicity_stockinette():
 
 def test_simplicity_c1b_swaps_once():
     f = gen_stitch_fixture("c1b")
-    report = simplicity_of(f.graph, f.cover)
+    report = check_simple_knittable(f.graph, f.cover)
     assert report.swaps == 1
     assert report.layout is None
 
 
 def test_simplicity_trivial_thread():
     g = DirectedKnitGraph(3, ((0, 1, B), (1, 2, B)))
-    report = simplicity_of(g, ((0, 1, 2),))
+    report = check_simple_knittable(g, ((0, 1, 2),))
     assert report.swaps == 0
     assert report.layout is not None
 
 
 def test_simplicity_round_is_not_simple():
     f = gen_stockinette(3, 3, round=True)
-    assert simplicity_of(f.graph, f.cover).swaps > 0
+    assert check_simple_knittable(f.graph, f.cover).swaps > 0
 
 
 def test_random_grid_subgraphs_planar(rng):
@@ -485,4 +491,4 @@ def test_class0_fixture_invariants():
         assert count_rows(f.graph, f.cover, f.layout) == expected_rows[f.name], f.name
         if f.layout is not None:
             assert cable_width(f.graph, f.layout) == 0, f.name
-            assert simplicity_of(f.graph, f.cover).layout is not None, f.name
+            assert check_simple_knittable(f.graph, f.cover).layout is not None, f.name

@@ -9,7 +9,6 @@ from knitgraph import (
     EdgeColor,
     Fixture,
     NotSingleThreadError,
-    PatternSpec,
     RedRule,
     all_fixtures,
     check_coloring,
@@ -110,20 +109,6 @@ def test_fixture_yarn_is_derived_from_threads():
     for f in all_fixtures():
         assert f.yarn == yarn_from_threads(f.graph, f.cover), f.name
         assert reduce_yarn_to_directed(f.yarn) == f.graph, f.name
-
-
-def test_pattern_spec_validation():
-    PatternSpec(3, 4).validate()
-    PatternSpec(3, 4, inserts=(((1, 2), "kfb"),)).validate()
-    with pytest.raises(BadDimsError):
-        PatternSpec(0, 4).validate()
-    with pytest.raises(BadDimsError):
-        PatternSpec(3, 4, inserts=(((3, 0), "k"),)).validate()
-    with pytest.raises(BadDimsError):
-        PatternSpec(3, 4, inserts=(((1, 1), "bobble"),)).validate()
-    with pytest.raises(BadDimsError):
-        PatternSpec(3, 4, inserts=(((1, 1), "k3tog"),)).validate(RedRule.STRICT)
-    PatternSpec(3, 4, inserts=(((1, 1), "k3tog"),)).validate(RedRule.EXTENDED)
 
 
 def test_emit_flat_2x3():

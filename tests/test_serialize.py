@@ -13,7 +13,6 @@ from knitgraph import (
     all_fixtures,
     export_dot,
     parse_document,
-    parse_json,
     serialize_json,
     underlying_knitting_graph,
 )
@@ -38,7 +37,7 @@ def test_round_trip_random_graphs(rng):
         g = DirectedKnitGraph(
             g.n, tuple((s, d, rng.choice(colors)) for s, d, _ in g.edges)
         )
-        assert parse_json(serialize_json(g)) == g
+        assert parse_document(serialize_json(g)).graph == g
 
 
 def test_round_trip_random_yarn(rng):
@@ -51,17 +50,17 @@ def test_round_trip_random_yarn(rng):
             if u != v:
                 arcs.append((u, v))
         y = YarnGraph(n, tuple(arcs))
-        assert parse_json(serialize_json(y)) == y
+        assert parse_document(serialize_json(y)).graph == y
 
 
 def test_missing_n_is_schema_error():
     with pytest.raises(SchemaError):
-        parse_json(b'{"directed": true, "edges": []}')
+        parse_document(b'{"directed": true, "edges": []}')
 
 
 def test_bad_color_is_schema_error():
     with pytest.raises(SchemaError):
-        parse_json(
+        parse_document(
             b'{"n": 2, "directed": true, "edges": [{"src": 0, "dst": 1, "color": "green"}]}'
         )
 
@@ -82,7 +81,7 @@ def test_layout_must_cover_exactly_the_vertices(layout, message):
 
 def test_invalid_json_reports_line():
     with pytest.raises(SchemaError, match="line"):
-        parse_json(b"{not json")
+        parse_document(b"{not json")
 
 
 def test_invalid_utf8_is_schema_error():
@@ -151,6 +150,16 @@ def test_edge_errors_name_the_first_bad_edge(bad_edge, message):
     edges = [{"src": 0, "dst": 1, "color": "blue"}, bad_edge, {"src": 9}]
     with pytest.raises(SchemaError, match=r"^edges\[1\]: " + message):
         parse_document(_doc(edges))
+
+
+@pytest.mark.parametrize("multigraph", [False, True])
+def test_undirected_document_is_schema_error(multigraph):
+    # checked right after the field is read, before any edge is looked at
+    for edges in ([{"src": 0, "dst": 1}], [{"src": 0}]):
+        with pytest.raises(SchemaError, match="^top level: 'directed' must be true$"):
+            parse_document(_doc(edges, directed=False, multigraph=multigraph))
+    with pytest.raises(SchemaError, match="field 'directed' must be bool"):
+        parse_document(_doc([], directed=0))
 
 
 def test_multigraph_color_error_comes_after_edge_errors():

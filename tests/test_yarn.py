@@ -3,6 +3,8 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knitgraph import (
     DirectedKnitGraph,
@@ -17,6 +19,7 @@ from knitgraph import (
     reduce_yarn_to_directed,
     yarn_from_threads,
 )
+from knitgraph.yarn import Trail, _TrailWalker
 
 B, R, P = EdgeColor.BLUE, EdgeColor.RED, EdgeColor.PURPLE
 
@@ -167,3 +170,160 @@ def test_eulerian_with_explicit_component():
     assert right.vertices == (3, 4)
     with pytest.raises(NoEulerianPathError):
         eulerian_path(y, component=[0, 1, 3])  # the (3,4) arc leaves the component
+
+
+def _weak_components_reference(y):
+    """The dict-and-set component search that `component_labels` replaced."""
+    neighbors = {}
+    for src, dst in y.arcs:
+        neighbors.setdefault(src, set()).add(dst)
+        neighbors.setdefault(dst, set()).add(src)
+    seen = set()
+    comps = []
+    for v in sorted(neighbors):
+        if v in seen:
+            continue
+        comp = []
+        stack = [v]
+        seen.add(v)
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in neighbors[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _walk_reference(y, comp, starts):
+    """The old per-component set-up: count the arcs leaving `comp`, walk
+    from each start, then splice the leftovers in."""
+    comp_set = set(comp)
+    walker = _TrailWalker(y)
+    walker.remaining = sum(1 for src, _dst in y.arcs if src in comp_set)
+    raw = [walker.walk(s) for s in starts]
+    walker.splice_leftovers(raw)
+    return [Trail(tuple(a), tuple(v)) for a, v in raw]
+
+
+def _minimum_yarns_reference(y):
+    trails = []
+    for comp in _weak_components_reference(y):
+        outdeg = {v: 0 for v in comp}
+        indeg = {v: 0 for v in comp}
+        for src, dst in y.arcs:
+            if src in outdeg:
+                outdeg[src] += 1
+                indeg[dst] += 1
+        starts = [v for v in comp for _ in range(max(0, outdeg[v] - indeg[v]))]
+        trails.extend(_walk_reference(y, comp, starts or [comp[0]]))
+    return len(trails), tuple(trails)
+
+
+def _eulerian_path_reference(y, component=None):
+    """`eulerian_path` with its own component searches and walker set-up,
+    kept as the oracle for the shared helpers."""
+    if component is None:
+        comps = _weak_components_reference(y)
+        if len(comps) > 1:
+            raise NoEulerianPathError("disconnected")
+        if not comps:
+            return Trail((), ())
+        comp = comps[0]
+    else:
+        comp = sorted(component)
+        comp_set = set(comp)
+        sub = [a for a in y.arcs if a[0] in comp_set or a[1] in comp_set]
+        if any(a[0] not in comp_set or a[1] not in comp_set for a in sub):
+            raise NoEulerianPathError("disconnected", "arcs leave the component")
+
+    comp_set = set(comp)
+    outdeg = {v: 0 for v in comp}
+    indeg = {v: 0 for v in comp}
+    has_arcs = False
+    for src, dst in y.arcs:
+        if src in comp_set:
+            outdeg[src] += 1
+            indeg[dst] += 1
+            has_arcs = True
+    if not has_arcs:
+        return Trail((), ())
+
+    imbalances = [(v, outdeg[v] - indeg[v]) for v in comp if outdeg[v] != indeg[v]]
+    pos = [v for v, d in imbalances if d == 1]
+    neg = [v for v, d in imbalances if d == -1]
+    if any(abs(d) > 1 for _, d in imbalances) or len(pos) > 1 or len(neg) > 1:
+        raise NoEulerianPathError("imbalance", imbalances)
+
+    bearing = {v for v in comp if outdeg[v] or indeg[v]}
+    neighbors = {v: set() for v in bearing}
+    for src, dst in y.arcs:
+        if src in comp_set:
+            neighbors[src].add(dst)
+            neighbors[dst].add(src)
+    seen = {min(bearing)}
+    stack = [min(bearing)]
+    while stack:
+        u = stack.pop()
+        for w in neighbors[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if seen != bearing:
+        raise NoEulerianPathError("disconnected")
+
+    (trail,) = _walk_reference(y, comp, [pos[0] if pos else min(bearing)])
+    return trail
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NoEulerianPathError as exc:
+        return type(exc), exc.args, exc.reason, exc.detail
+
+
+@st.composite
+def _multigraph_and_component(draw):
+    """A yarn multigraph on n <= 7 vertices, half the time with every arc
+    doubled by its reversal so that trails exist, and an optional subset of
+    the vertices, in any order."""
+    n = draw(st.integers(0, 7))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda a: a[0] != a[1]
+    )
+    arcs = draw(st.lists(pairs, max_size=12)) if n > 1 else []
+    if draw(st.booleans()):
+        arcs += [(d, s) for s, d in arcs]
+        arcs = draw(st.permutations(arcs))
+    component = None
+    if draw(st.booleans()):
+        component = draw(st.lists(st.integers(0, n - 1), unique=True)) if n else []
+    return YarnGraph(n, tuple(arcs)), component
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_multigraph_and_component())
+def test_eulerian_path_and_minimum_yarns_match_reference(case):
+    y, component = case
+    got = _outcome(lambda: eulerian_path(y, component))
+    assert got == _outcome(lambda: _eulerian_path_reference(y, component))
+    if component is None:
+        assert _outcome(lambda: minimum_yarns(y)) == _outcome(lambda: _minimum_yarns_reference(y))
+
+
+def test_eulerian_path_error_precedence():
+    # without a component, disconnection is reported before imbalance
+    split_fan = YarnGraph(5, ((0, 1), (0, 2), (3, 4)))
+    with pytest.raises(NoEulerianPathError) as exc:
+        eulerian_path(split_fan)
+    assert exc.value.reason == "disconnected"
+    # with one, imbalance is reported before disconnection
+    with pytest.raises(NoEulerianPathError) as exc:
+        eulerian_path(split_fan, component=[0, 1, 2, 3, 4])
+    assert exc.value.reason == "imbalance"
+    with pytest.raises(NoEulerianPathError) as exc:
+        eulerian_path(YarnGraph(4, ((0, 1), (1, 0), (2, 3), (3, 2))), [0, 1, 2, 3])
+    assert exc.value.reason == "disconnected"
