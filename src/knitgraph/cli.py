@@ -94,9 +94,8 @@ def _cmd_validate(args) -> int:
     return OK
 
 
-def _witness_doc(graph, coloring, cover, k) -> GraphDocument:
-    colored = graph.recolored(coloring)
-    return GraphDocument(colored, None, {"k": k, "threads": [list(t) for t in cover]})
+def _witness_doc(graph, cover, k) -> GraphDocument:
+    return GraphDocument(graph, None, {"k": k, "threads": [list(t) for t in cover]})
 
 
 def _cmd_decide(args) -> int:
@@ -110,8 +109,8 @@ def _cmd_decide(args) -> int:
     if result is None:
         _emit(args, {"feasible": False, "k": args.k}, "infeasible")
         return NEGATIVE
-    coloring, cover = result
-    payload = serialize_json(_witness_doc(doc.graph, coloring, cover, args.k)).decode()
+    witness, cover = result
+    payload = serialize_json(_witness_doc(witness, cover, args.k)).decode()
     print(payload)
     return OK
 
@@ -131,9 +130,7 @@ def _cmd_oracle(args) -> int:
     if witness is None:
         _emit(args, {"feasible": False, "k": args.k}, "infeasible")
         return NEGATIVE
-    payload = serialize_json(
-        _witness_doc(witness.graph, witness.coloring, witness.cover, args.k)
-    ).decode()
+    payload = serialize_json(_witness_doc(witness.graph, witness.cover, args.k)).decode()
     print(payload)
     return OK
 

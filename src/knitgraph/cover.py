@@ -20,11 +20,6 @@ from .errors import (
 )
 from .feasibility import RedRule, Role, check_coloring, classify_vertex
 from .flows import (
-    ORIGINAL,
-    SINK,
-    SOURCE,
-    SPLIT,
-    SUPER,
     FlowNetwork,
     solve_flow_range,
     solve_flow_with_bounds,
@@ -33,7 +28,6 @@ from .flows import (
 from .graphs import DirectedKnitGraph, EdgeColor, KnittingGraph, topological_sort
 
 ThreadCover = tuple[tuple[int, ...], ...]
-EdgeColoring = dict[tuple[int, int], EdgeColor]
 
 
 def _require_dag(g: DirectedKnitGraph) -> list[int]:
@@ -93,65 +87,75 @@ def build_flow_network(
 def _assemble_network(
     g: DirectedKnitGraph, roles: list[frozenset], lower: int, upper: int
 ) -> FlowNetwork:
-    """The split-vertex network with both super arcs bounded by [lower, upper]."""
+    """The split-vertex network with both super arcs bounded by [lower, upper].
+
+    Arcs in order: the n split arcs (arc v joins v_in to v_out), the thread
+    arcs u_out -> v_in in edge order, the source arcs s_out -> v_in, the
+    sink arcs v_out -> t_in, then the super arcs s_in -> s_out and
+    t_in -> t_out.
+    """
+    may_leave = [Role.S in r or Role.M in r for r in roles]
+    may_enter = [Role.M in r or Role.T in r for r in roles]
     net = FlowNetwork(g.n)
-    for v in range(g.n):
-        net.add(2 * v, 2 * v + 1, 1, 1, SPLIT, v)
-    for src, dst, _color in g.edges:
-        if (Role.S in roles[src] or Role.M in roles[src]) and (
-            Role.M in roles[dst] or Role.T in roles[dst]
-        ):
-            net.add(2 * src + 1, 2 * dst, 0, 1, ORIGINAL, (src, dst))
-    for v in range(g.n):
-        if Role.S in roles[v]:
-            net.add(net.s_out, 2 * v, 0, 1, SOURCE, v)
-    for v in range(g.n):
-        if Role.T in roles[v]:
-            net.add(2 * v + 1, net.t_in, 0, 1, SINK, v)
-    net.add(net.s_in, net.s_out, lower, upper, SUPER, None)
-    net.add(net.t_in, net.t_out, lower, upper, SUPER, None)
+    net.arcs += [(2 * v, 2 * v + 1, 1, 1) for v in range(g.n)]
+    net.arcs += [
+        (2 * src + 1, 2 * dst, 0, 1)
+        for src, dst, _color in g.edges
+        if may_leave[src] and may_enter[dst]
+    ]
+    net.arcs += [(net.s_out, 2 * v, 0, 1) for v in range(g.n) if Role.S in roles[v]]
+    net.arcs += [(2 * v + 1, net.t_in, 0, 1) for v in range(g.n) if Role.T in roles[v]]
+    net.add(net.s_in, net.s_out, lower, upper)
+    net.add(net.t_in, net.t_out, lower, upper)
     return net
 
 
 def extract_threads(net: FlowNetwork, flows: list[int]) -> ThreadCover:
-    """Read the k threads off a feasible flow, ordered by start vertex."""
+    """Read the threads off a feasible flow, ordered by start vertex.
+
+    Thread flow enters a vertex v only at v_in, an even node below 2n: from
+    s_out when a thread starts at v, from u_out when it runs on from u.
+    """
+    s_out = net.s_out
+    vertex_nodes = 2 * net.n
     starts: list[int] = []
-    nxt: dict[int, int] = {}
-    for arc, flow in zip(net.arcs, flows):
-        if flow != 1:
-            continue
-        kind = arc[4]
-        if kind == SOURCE:
-            starts.append(arc[5])
-        elif kind == ORIGINAL:
-            src, dst = arc[5]
-            nxt[src] = dst
+    nxt = [-1] * net.n
+    for (tail, head, _lower, _upper), flow in zip(net.arcs, flows):
+        if flow == 1 and head < vertex_nodes and not head & 1:
+            if tail == s_out:
+                starts.append(head >> 1)
+            else:
+                nxt[tail >> 1] = head >> 1
     threads = []
     for v in sorted(starts):
         path = [v]
-        while v in nxt:
+        while nxt[v] >= 0:
             v = nxt[v]
             path.append(v)
         threads.append(tuple(path))
     return tuple(threads)
 
 
-def _color_by_cover(g: DirectedKnitGraph, cover: ThreadCover) -> EdgeColoring:
-    blue_pairs = {pair for thread in cover for pair in zip(thread, thread[1:])}
-    return {
-        (s, d): (EdgeColor.BLUE if (s, d) in blue_pairs else EdgeColor.RED)
-        for s, d, _ in g.edges
-    }
+def _witness(g: DirectedKnitGraph, cover: ThreadCover) -> DirectedKnitGraph:
+    """g with the arcs along its threads blue and every other arc red."""
+    succ = [-1] * g.n
+    for thread in cover:
+        for v, w in zip(thread, thread[1:]):
+            succ[v] = w
+    blue, red = EdgeColor.BLUE, EdgeColor.RED
+    return DirectedKnitGraph._trusted(
+        g.n, tuple([(s, d, blue if succ[s] == d else red) for s, d, _ in g.edges])
+    )
 
 
 def decide_k_knittable(
     g: DirectedKnitGraph, k: int, rule: RedRule = RedRule.STRICT
-) -> tuple[EdgeColoring, ThreadCover] | None:
+) -> tuple[DirectedKnitGraph, ThreadCover] | None:
     """Decide exact-k thread feasibility of a DAG under the degree rule.
 
-    Returns a coloring (thread arcs blue, the rest red) plus the thread
-    cover, or None when infeasible. Input colors are ignored; purple edges
-    are rejected.
+    Returns the witness, g with its thread arcs blue and the rest red, plus
+    the thread cover, or None when infeasible. Input colors are ignored;
+    purple edges are rejected.
     """
     _require_dag(g)
     if EdgeColor.PURPLE in g.colors():
@@ -166,7 +170,7 @@ def decide_k_knittable(
     if flows is None:
         return None
     cover = extract_threads(net, flows)
-    return _color_by_cover(g, cover), cover
+    return _witness(g, cover), cover
 
 
 def sweep_feasible_k(
@@ -223,7 +227,6 @@ class OracleWitness:
     """Result of the exhaustive search: an oriented, colored graph plus cover."""
 
     graph: DirectedKnitGraph
-    coloring: EdgeColoring
     cover: ThreadCover
 
 
@@ -296,7 +299,7 @@ def brute_force_knittable(
 
     for system in _iter_path_systems(g.n, adj, k):
         if directed:
-            candidate = g
+            colored = _witness(g, system)
         else:
             position = {}
             idx = 0
@@ -315,11 +318,9 @@ def brute_force_knittable(
                     edges.append((u, v, EdgeColor.RED))
                 else:
                     edges.append((v, u, EdgeColor.RED))
-            candidate = DirectedKnitGraph(g.n, tuple(edges))
-        coloring = _color_by_cover(candidate, system)
-        colored = candidate.recolored(coloring)
+            colored = DirectedKnitGraph(g.n, tuple(edges))
         if check_coloring(colored, k, rule).valid:
-            return OracleWitness(colored, coloring, system)
+            return OracleWitness(colored, system)
     return None
 
 

@@ -8,7 +8,12 @@ itself is a Dinic scheme over flat CSR arrays so ~10^5-vertex graphs stay
 well inside the performance budget. All arc orders are fixed, so results
 are deterministic.
 
-Three solves share that machinery:
+An arc is a plain `(tail, head, lower, upper)` tuple; what it stands for is
+read from the node numbering of `FlowNetwork`. Arc i of the network is arc
+i of the max-flow instance, so every returned flow list is aligned with
+`FlowNetwork.arcs` by index.
+
+Three solves share one feasibility routine:
 
 - exact (`solve_flow_with_bounds`): any feasible circulation;
 - minimum (`solve_minimum_flow`): a feasible circulation of least
@@ -23,14 +28,7 @@ from dataclasses import dataclass, field
 
 INF = 1 << 60
 
-# Arc provenance tags.
-ORIGINAL = "original"
-SPLIT = "split"
-SOURCE = "source"
-SINK = "sink"
-SUPER = "super"
-
-Arc = tuple[int, int, int, int, str, object]  # tail, head, lower, upper, kind, ref
+Arc = tuple[int, int, int, int]  # tail, head, lower, upper
 
 
 @dataclass
@@ -64,22 +62,26 @@ class FlowNetwork:
     def num_nodes(self) -> int:
         return 2 * self.n + 4
 
-    def add(self, tail: int, head: int, lower: int, upper: int, kind: str, ref=None):
-        self.arcs.append((tail, head, lower, upper, kind, ref))
+    def add(self, tail: int, head: int, lower: int, upper: int):
+        self.arcs.append((tail, head, lower, upper))
 
 
 class _Dinic:
-    """Max flow on CSR adjacency; arcs are paired (a, a^1) fwd/backward."""
+    """Max flow on CSR adjacency; arc i is the residual pair 2i (forward)
+    and 2i+1 (backward), so `to[2i]` is its head and `to[2i+1]` its tail.
 
-    def __init__(self, n: int, arc_list: list[tuple[int, int, int]]):
+    An arc with no capacity keeps its id but stays out of the adjacency:
+    no augmenting path can use it, so the search order over the other arcs
+    is the same as if it were absent.
+    """
+
+    def __init__(self, n: int, to: list[int], cap: list[int]):
         self.n = n
-        num = len(arc_list)
-        to = [0] * (2 * num)
-        cap = [0] * (2 * num)
         deg = [0] * n
-        for u, v, _c in arc_list:
-            deg[u] += 1
-            deg[v] += 1
+        for a in range(0, len(to), 2):
+            if cap[a]:
+                deg[to[a]] += 1
+                deg[to[a + 1]] += 1
         self.start = [0] * (n + 1)
         acc = 0
         for i in range(n):
@@ -87,16 +89,15 @@ class _Dinic:
             acc += deg[i]
         self.start[n] = acc
         pos = list(self.start[:n])
-        flat = [0] * (2 * num)
-        for i, (u, v, c) in enumerate(arc_list):
-            a = 2 * i
-            to[a] = v
-            cap[a] = c
-            to[a + 1] = u
-            flat[pos[u]] = a
-            pos[u] += 1
-            flat[pos[v]] = a + 1
-            pos[v] += 1
+        flat = [0] * acc
+        for a in range(0, len(to), 2):
+            if cap[a]:
+                u = to[a + 1]
+                flat[pos[u]] = a
+                pos[u] += 1
+                v = to[a]
+                flat[pos[v]] = a + 1
+                pos[v] += 1
         self.to = to
         self.cap = cap
         self.flat = flat
@@ -168,47 +169,54 @@ class _Dinic:
                 total += aug
 
 
-def _prepare(net: FlowNetwork):
-    """Lower-bound elimination; returns the Dinic instance and bookkeeping."""
+def _feasible(net: FlowNetwork) -> tuple[_Dinic, int] | None:
+    """Lower-bound elimination and one feasibility max-flow, then the
+    closure and helper arcs frozen.
+
+    Returns (dinic, value), where value is the super-arc throughput of the
+    feasible circulation found, or None when no feasible circulation
+    exists. Arc i of `net` is arc i of `dinic`, so `_flows` reads the
+    circulation by index. The residual network left in `dinic` holds only
+    the arcs of `net`, so a max flow between the terminals now changes the
+    throughput while every bound stays respected.
+    """
     num_nodes = net.num_nodes
     ss = num_nodes
     tt = num_nodes + 1
     excess = [0] * num_nodes
-    arc_list: list[tuple[int, int, int]] = []
-    arc_map: list[int | None] = []  # net arc index -> dinic arc index
-    for tail, head, lower, upper, _kind, _ref in net.arcs:
+    to: list[int] = []
+    cap: list[int] = []
+    for tail, head, lower, upper in net.arcs:
         if lower > upper:
             raise ValueError(f"lower bound {lower} exceeds upper bound {upper}")
-        if upper > lower:
-            arc_map.append(len(arc_list))
-            arc_list.append((tail, head, upper - lower))
-        else:
-            arc_map.append(None)
+        to += (head, tail)
+        cap += (upper - lower, 0)
         if lower:
             excess[head] += lower
             excess[tail] -= lower
-    closure_id = len(arc_list)
-    arc_list.append((net.t_out, net.s_in, INF))
-    helper_ids = []
+    closure = len(net.arcs)
+    to += (net.s_in, net.t_out)
+    cap += (INF, 0)
     required = 0
     for v in range(num_nodes):
         if excess[v] > 0:
-            helper_ids.append(len(arc_list))
-            arc_list.append((ss, v, excess[v]))
+            to += (v, ss)
+            cap += (excess[v], 0)
             required += excess[v]
         elif excess[v] < 0:
-            helper_ids.append(len(arc_list))
-            arc_list.append((v, tt, -excess[v]))
-    dinic = _Dinic(num_nodes + 2, arc_list)
-    return dinic, arc_map, closure_id, helper_ids, required, ss, tt
+            to += (tt, v)
+            cap += (-excess[v], 0)
+    dinic = _Dinic(num_nodes + 2, to, cap)
+    if dinic.max_flow(ss, tt) < required:
+        return None
+    value = dinic.flow_on(closure)
+    for a in range(closure, len(to) // 2):
+        dinic.disable_arc(a)
+    return dinic, value
 
 
-def _collect_flows(net: FlowNetwork, dinic: _Dinic, arc_map: list[int | None]) -> list[int]:
-    flows = []
-    for i, (_t, _h, lower, _u, _k, _r) in enumerate(net.arcs):
-        a = arc_map[i]
-        flows.append(lower + (dinic.flow_on(a) if a is not None else 0))
-    return flows
+def _flows(net: FlowNetwork, dinic: _Dinic) -> list[int]:
+    return [lower + dinic.flow_on(i) for i, (_t, _h, lower, _u) in enumerate(net.arcs)]
 
 
 def solve_flow_with_bounds(net: FlowNetwork) -> list[int] | None:
@@ -217,29 +225,10 @@ def solve_flow_with_bounds(net: FlowNetwork) -> list[int] | None:
     Returned flows align with net.arcs. Absence of a solution is a negative
     answer, not an error.
     """
-    dinic, arc_map, _closure, _helpers, required, ss, tt = _prepare(net)
-    if dinic.max_flow(ss, tt) < required:
+    feasible = _feasible(net)
+    if feasible is None:
         return None
-    return _collect_flows(net, dinic, arc_map)
-
-
-def _feasible_frozen(net: FlowNetwork) -> tuple[_Dinic, list[int | None], int] | None:
-    """One feasibility max-flow, then the closure and helper arcs frozen.
-
-    Returns (dinic, arc_map, value), where value is the super-arc
-    throughput of the feasible circulation found, or None when no feasible
-    circulation exists. The residual network left in `dinic` holds only the
-    arcs of `net`, so a max flow between the terminals now changes the
-    throughput while every bound stays respected.
-    """
-    dinic, arc_map, closure_id, helper_ids, required, ss, tt = _prepare(net)
-    if dinic.max_flow(ss, tt) < required:
-        return None
-    value = dinic.flow_on(closure_id)
-    dinic.disable_arc(closure_id)
-    for a in helper_ids:
-        dinic.disable_arc(a)
-    return dinic, arc_map, value
+    return _flows(net, feasible[0])
 
 
 def solve_minimum_flow(net: FlowNetwork) -> tuple[int, list[int]] | None:
@@ -249,12 +238,12 @@ def solve_minimum_flow(net: FlowNetwork) -> tuple[int, list[int]] | None:
     augmenting flow from the sink side back to the source side with the
     closure and elimination arcs frozen. Returns (value, flows).
     """
-    frozen = _feasible_frozen(net)
-    if frozen is None:
+    feasible = _feasible(net)
+    if feasible is None:
         return None
-    dinic, arc_map, value = frozen
+    dinic, value = feasible
     value -= dinic.max_flow(net.t_out, net.s_in)
-    return value, _collect_flows(net, dinic, arc_map)
+    return value, _flows(net, dinic)
 
 
 def solve_flow_range(net: FlowNetwork) -> tuple[int, int] | None:
@@ -268,12 +257,12 @@ def solve_flow_range(net: FlowNetwork) -> tuple[int, int] | None:
     circulation: t_out -> s_in lowers it to the minimum, s_in -> t_out on the
     restored residual raises it to the maximum. None when infeasible.
     """
-    frozen = _feasible_frozen(net)
-    if frozen is None:
+    feasible = _feasible(net)
+    if feasible is None:
         return None
-    dinic, _arc_map, value = frozen
-    feasible = dinic.cap.copy()
+    dinic, value = feasible
+    residual = dinic.cap.copy()
     least = value - dinic.max_flow(net.t_out, net.s_in)
-    dinic.cap[:] = feasible
+    dinic.cap[:] = residual
     greatest = value + dinic.max_flow(net.s_in, net.t_out)
     return least, greatest

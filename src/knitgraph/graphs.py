@@ -99,17 +99,6 @@ class DirectedKnitGraph:
             indeg[dst] += 1
         return list(zip(indeg, outdeg))
 
-    def recolored(self, coloring: dict[tuple[int, int], EdgeColor]) -> "DirectedKnitGraph":
-        """New graph with the same arcs and colors taken from `coloring`.
-
-        The arcs are this graph's, already validated and sorted, so they
-        are not checked again.
-        """
-        return DirectedKnitGraph._trusted(
-            self.n,
-            tuple([(s, d, coloring.get((s, d), c)) for s, d, c in self.edges]),
-        )
-
 
 @dataclass(frozen=True)
 class KnittingGraph:
@@ -236,27 +225,34 @@ def topological_sort(g: DirectedKnitGraph) -> list[int]:
 
 
 def _find_cycle(g: DirectedKnitGraph, candidates: set[int]) -> list[int]:
-    # Trim vertices that cannot reach back into the live set, then walk the
-    # remaining sub-DAG-free core until a vertex repeats.
-    adj: dict[int, list[int]] = {v: [] for v in candidates}
+    # Trim the vertices with no successor left in the live set, by a queue
+    # over reverse adjacency with live out-degree counters, O(n + m). Every
+    # vertex that remains has a live successor, so walking from the
+    # smallest one to its smallest live successor must repeat a vertex.
+    live = [False] * g.n
+    for v in candidates:
+        live[v] = True
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    preds: list[list[int]] = [[] for _ in range(g.n)]
     for src, dst, _ in g.edges:
-        if src in candidates and dst in candidates:
+        if live[src] and live[dst]:
             adj[src].append(dst)
-    live = set(candidates)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(live):
-            if not any(w in live for w in adj[v]):
-                live.discard(v)
-                changed = True
-    v = min(live)
+            preds[dst].append(src)
+    out = [len(succ) for succ in adj]
+    dead = [v for v in candidates if not out[v]]
+    for v in dead:  # the list grows while it is read
+        live[v] = False
+        for u in preds[v]:
+            out[u] -= 1
+            if not out[u]:
+                dead.append(u)
+    v = min(v for v in candidates if live[v])
     path: list[int] = []
     pos: dict[int, int] = {}
     while v not in pos:
         pos[v] = len(path)
         path.append(v)
-        v = min(w for w in adj[v] if w in live)
+        v = min(w for w in adj[v] if live[w])
     return path[pos[v]:]
 
 

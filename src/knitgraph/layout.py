@@ -53,7 +53,10 @@ def is_planar(kg: KnittingGraph) -> bool:
 
 @dataclass(frozen=True)
 class CrossingGraph:
-    """Edges of the drawing as nodes, proper segment crossings as links."""
+    """Edges of the drawing as nodes, proper segment crossings as links.
+
+    Node i is edge i of the graph, in its edge order.
+    """
 
     edge_pairs: tuple[tuple[int, int], ...]
     links: tuple[tuple[int, int], ...]  # index pairs into edge_pairs, i < j
@@ -288,12 +291,9 @@ def cable_width(g: DirectedKnitGraph, layout: Layout) -> int:
     Sequential (blue) edges must be pairwise non-crossing.
     """
     cg = crossing_graph(g, layout)
-    color_of = {(s, d): c for s, d, c in g.edges}
+    edges = g.edges
     for i, j in cg.links:
-        if (
-            color_of[cg.edge_pairs[i]] is EdgeColor.BLUE
-            and color_of[cg.edge_pairs[j]] is EdgeColor.BLUE
-        ):
+        if edges[i][2] is EdgeColor.BLUE and edges[j][2] is EdgeColor.BLUE:
             raise BlueCrossingError((i, j))
     return cg.max_component_links()
 
@@ -333,9 +333,9 @@ def classify_complexity(
     has_crossings = False
     if layout is not None:
         cg = crossing_graph(g, layout)
-        color_of = {(s, d): c for s, d, c in g.edges}
+        edges = g.edges
         for i, j in cg.links:
-            involved = {color_of[cg.edge_pairs[i]], color_of[cg.edge_pairs[j]]}
+            involved = {edges[i][2], edges[j][2]}
             if involved & {EdgeColor.RED, EdgeColor.PURPLE}:
                 crossings_red = True
             if involved & {EdgeColor.BLUE, EdgeColor.PURPLE}:

@@ -15,6 +15,7 @@ from knitgraph import (
     NotADagError,
     PurplePresentError,
     RedRule,
+    Role,
     TooLargeError,
     brute_force_knittable,
     brute_force_minimum_path_cover,
@@ -34,7 +35,7 @@ from knitgraph import (
     vertex_roles,
 )
 from knitgraph import cover as cover_module
-from knitgraph.flows import ORIGINAL, SINK, SOURCE, SPLIT, SUPER
+from knitgraph import flows as flows_module
 
 B, R, U = EdgeColor.BLUE, EdgeColor.RED, EdgeColor.UNCOLORED
 
@@ -77,13 +78,17 @@ def test_hamiltonian_rejects_cycles():
 def test_network_structure_round_3x3():
     f = gen_stockinette(3, 3, round=True)
     net = build_flow_network(f.graph, 1)
-    splits = [a for a in net.arcs if a[4] == SPLIT]
-    assert len(splits) == 9
-    assert all(a[2] == a[3] == 1 for a in splits)
-    supers = [a for a in net.arcs if a[4] == SUPER]
-    assert len(supers) == 2
-    assert all(a[2] == a[3] == 1 for a in supers)
-    assert all(a[2] == 0 and a[3] == 1 for a in net.arcs if a[4] == ORIGINAL)
+    n = f.graph.n
+    # split arcs first, one per vertex, then thread, source and sink arcs,
+    # then the two super arcs
+    assert net.arcs[:n] == [(2 * v, 2 * v + 1, 1, 1) for v in range(n)]
+    assert net.arcs[-2:] == [(net.s_in, net.s_out, 1, 1), (net.t_in, net.t_out, 1, 1)]
+    roles = vertex_roles(f.graph)
+    assert net.arcs[n:-2] == (
+        [(2 * s + 1, 2 * d, 0, 1) for s, d, _ in f.graph.edges]  # all thread-capable
+        + [(net.s_out, 2 * v, 0, 1) for v in range(n) if Role.S in roles[v]]
+        + [(2 * v + 1, net.t_in, 0, 1) for v in range(n) if Role.T in roles[v]]
+    )
 
 
 def test_network_rejects_infeasible_vertex():
@@ -108,7 +113,7 @@ def test_flow_exists_round_3x3():
     assert flows is not None
     # conservation at every node and bounds respected
     balance = {}
-    for (tail, head, lo, hi, _k, _r), flow in zip(net.arcs, flows):
+    for (tail, head, lo, hi), flow in zip(net.arcs, flows):
         assert lo <= flow <= hi
         balance[tail] = balance.get(tail, 0) - flow
         balance[head] = balance.get(head, 0) + flow
@@ -122,7 +127,7 @@ def test_flow_exists_round_3x3():
 
 def test_unsatisfiable_isolated_split_arc():
     net = FlowNetwork(1)
-    net.add(0, 1, 1, 1, SPLIT, 0)
+    net.add(0, 1, 1, 1)
     assert solve_flow_with_bounds(net) is None
 
 
@@ -138,7 +143,7 @@ def test_extract_two_components():
     g = disjoint_union([a, a])
     result = decide_k_knittable(g, 2)
     assert result is not None
-    _coloring, cover = result
+    _witness, cover = result
     assert len(cover) == 2
     assert sorted(v for t in cover for v in t) == list(range(12))
 
@@ -146,7 +151,7 @@ def test_extract_two_components():
 def test_empty_graph_k0():
     g = DirectedKnitGraph(0, ())
     result = decide_k_knittable(g, 0)
-    assert result == ({}, ())
+    assert result == (DirectedKnitGraph(0, ()), ())
 
 
 def test_decide_round_kfb():
@@ -154,8 +159,8 @@ def test_decide_round_kfb():
     assert decide_k_knittable(g, 1, RedRule.STRICT) is None
     result = decide_k_knittable(g, 1, RedRule.EXTENDED)
     assert result is not None
-    coloring, cover = result
-    assert check_coloring(g.recolored(coloring), 1, RedRule.EXTENDED).valid
+    witness, _cover = result
+    assert check_coloring(witness, 1, RedRule.EXTENDED).valid
     assert brute_force_knittable(g, 1, RedRule.EXTENDED, cap=11) is not None
 
 
@@ -227,7 +232,7 @@ def test_oracle_red_direction_follows_thread_order():
         for v in t:
             pos[v] = idx
             idx += 1
-    for (s, d), color in witness.coloring.items():
+    for s, d, color in witness.graph.edges:
         if color is R:
             assert pos[s] < pos[d]
 
@@ -256,8 +261,8 @@ def test_soundness_on_feasible_fixtures(rng):
         k = len(blocks)
         result = decide_k_knittable(g, k)
         assert result is not None
-        coloring, _cover = result
-        assert check_coloring(g.recolored(coloring), k).valid
+        witness, _cover = result
+        assert check_coloring(witness, k).valid
 
 
 def test_hamiltonian_iff_cover_one(rng):
@@ -310,19 +315,153 @@ def test_sweep_equals_per_k_oracle_on_rounds(rows, cols, rule):
     assert sweep_feasible_k(g, rule) == _sweep_per_k(g, rule)
 
 
+# The tagged witness path that the id-indexed one replaced, kept as the
+# oracle: every arc carries a kind and the vertex or (src, dst) pair it
+# stands for, only arcs with room enter the max flow (an arc map leads
+# back), threads are read by kind, and the coloring is keyed by (src, dst).
+# The Dinic max flow itself is shared.
+
+
+def _tagged_network(g, roles, lower, upper):
+    n = g.n
+    s_in, s_out, t_in, t_out = 2 * n, 2 * n + 1, 2 * n + 2, 2 * n + 3
+    arcs = [(2 * v, 2 * v + 1, 1, 1, "split", v) for v in range(n)]
+    for src, dst, _color in g.edges:
+        if (Role.S in roles[src] or Role.M in roles[src]) and (
+            Role.M in roles[dst] or Role.T in roles[dst]
+        ):
+            arcs.append((2 * src + 1, 2 * dst, 0, 1, "original", (src, dst)))
+    arcs += [(s_out, 2 * v, 0, 1, "source", v) for v in range(n) if Role.S in roles[v]]
+    arcs += [(2 * v + 1, t_in, 0, 1, "sink", v) for v in range(n) if Role.T in roles[v]]
+    arcs.append((s_in, s_out, lower, upper, "super", None))
+    arcs.append((t_in, t_out, lower, upper, "super", None))
+    return arcs
+
+
+def _tagged_solve(n, arcs, minimum):
+    """Flows aligned with `arcs`, or None; with `minimum`, of least value."""
+    num_nodes = 2 * n + 4
+    ss, tt = num_nodes, num_nodes + 1
+    excess = [0] * num_nodes
+    to, cap, arc_map = [], [], []
+    for tail, head, lower, upper, _kind, _ref in arcs:
+        if upper > lower:
+            arc_map.append(len(cap) // 2)
+            to += (head, tail)
+            cap += (upper - lower, 0)
+        else:
+            arc_map.append(None)
+        excess[head] += lower
+        excess[tail] -= lower
+    closure = len(cap) // 2
+    to += (2 * n, 2 * n + 3)
+    cap += (1 << 60, 0)
+    required = 0
+    for v, e in enumerate(excess):
+        if e > 0:
+            to += (v, ss)
+            cap += (e, 0)
+            required += e
+        elif e < 0:
+            to += (tt, v)
+            cap += (-e, 0)
+    dinic = flows_module._Dinic(num_nodes + 2, to, cap)
+    if dinic.max_flow(ss, tt) < required:
+        return None
+    if minimum:
+        for a in range(closure, len(cap) // 2):
+            dinic.disable_arc(a)
+        dinic.max_flow(2 * n + 3, 2 * n)
+    return [
+        arc[2] + (0 if a is None else dinic.flow_on(a)) for arc, a in zip(arcs, arc_map)
+    ]
+
+
+def _tagged_threads(arcs, flow):
+    starts, nxt = [], {}
+    for arc, f in zip(arcs, flow):
+        if f != 1:
+            continue
+        if arc[4] == "source":
+            starts.append(arc[5])
+        elif arc[4] == "original":
+            src, dst = arc[5]
+            nxt[src] = dst
+    threads = []
+    for v in sorted(starts):
+        path = [v]
+        while v in nxt:
+            v = nxt[v]
+            path.append(v)
+        threads.append(tuple(path))
+    return tuple(threads)
+
+
+def _tagged_decide(g, k, rule):
+    """(witness edges, cover) or None, as `decide_k_knittable` on a DAG."""
+    if k < 0:
+        return None
+    try:
+        roles = vertex_roles(g, rule)
+    except InfeasibleVertexError:
+        return None
+    arcs = _tagged_network(g, roles, k, k)
+    flow = _tagged_solve(g.n, arcs, minimum=False)
+    if flow is None:
+        return None
+    cover = _tagged_threads(arcs, flow)
+    blue_pairs = {pair for t in cover for pair in zip(t, t[1:])}
+    coloring = {(s, d): (B if (s, d) in blue_pairs else R) for s, d, _ in g.edges}
+    return tuple((s, d, coloring.get((s, d), c)) for s, d, c in g.edges), cover
+
+
+def _tagged_minimum_path_cover(g):
+    if g.n == 0:
+        return 0, ()
+    arcs = _tagged_network(g, [frozenset(Role)] * g.n, 0, g.n)
+    cover = _tagged_threads(arcs, _tagged_solve(g.n, arcs, minimum=True))
+    return len(cover), cover
+
+
+def _decided(g, k, rule):
+    result = decide_k_knittable(g, k, rule)
+    if result is None:
+        return None
+    witness, cover = result
+    assert witness == DirectedKnitGraph(g.n, witness.edges[::-1])
+    return witness.edges, cover
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_dags(), st.sampled_from(list(RedRule)))
+def test_witness_path_matches_tagged_reader_on_random_dags(g, rule):
+    for k in range(5):
+        assert _decided(g, k, rule) == _tagged_decide(g, k, rule)
+    assert minimum_path_cover(g) == _tagged_minimum_path_cover(g)
+
+
+def test_witness_path_matches_tagged_reader_on_rounds():
+    for rows, cols in ((2, 2), (3, 3), (2, 5), (4, 3), (6, 6)):
+        g = gen_stockinette(rows, cols, round=True).graph
+        for rule in RedRule:
+            for k in range(1, 4):
+                assert _decided(g, k, rule) == _tagged_decide(g, k, rule)
+        assert minimum_path_cover(g) == _tagged_minimum_path_cover(g)
+
+
 def _relaxed_all_roles(n, edges):
     """The path-cover network by hand: every vertex may start, continue or
     end a thread, and both super arcs allow 0..n threads."""
     net = FlowNetwork(n)
     for v in range(n):
-        net.add(2 * v, 2 * v + 1, 1, 1, SPLIT, v)
+        net.add(2 * v, 2 * v + 1, 1, 1)
     for s, d in edges:
-        net.add(2 * s + 1, 2 * d, 0, 1, ORIGINAL, (s, d))
+        net.add(2 * s + 1, 2 * d, 0, 1)
     for v in range(n):
-        net.add(net.s_out, 2 * v, 0, 1, SOURCE, v)
-        net.add(2 * v + 1, net.t_in, 0, 1, SINK, v)
-    net.add(net.s_in, net.s_out, 0, n, SUPER, None)
-    net.add(net.t_in, net.t_out, 0, n, SUPER, None)
+        net.add(net.s_out, 2 * v, 0, 1)
+        net.add(2 * v + 1, net.t_in, 0, 1)
+    net.add(net.s_in, net.s_out, 0, n)
+    net.add(net.t_in, net.t_out, 0, n)
     return net
 
 
@@ -335,7 +474,7 @@ def test_flow_range_on_relaxed_networks():
 
 def test_flow_range_infeasible_and_pinned():
     net = FlowNetwork(1)
-    net.add(0, 1, 1, 1, SPLIT, 0)
+    net.add(0, 1, 1, 1)
     assert solve_flow_range(net) is None
     # exact super bounds pin the range to a single value
     exact = build_flow_network(gen_stockinette(3, 3, round=True).graph, 1)

@@ -47,13 +47,13 @@ UNEXPECTED = re.compile(r"error: [A-Z]\w*: ")
 def _seed_documents() -> list[dict]:
     round33 = gen_stockinette(3, 3, round=True)
     kfb = gen_stitch_fixture("kfb")
-    coloring, _cover = decide_k_knittable(round33.graph, 1)
+    witness, _cover = decide_k_knittable(round33.graph, 1)
     docs = [
         GraphDocument(round33.graph, round33.layout,
                       {"k": 1, "threads": [list(t) for t in round33.cover]}),
         GraphDocument(kfb.graph, kfb.layout, {"k": kfb.k, "multi_orientation": False}),
         GraphDocument(kfb.yarn),
-        GraphDocument(round33.graph.recolored(coloring), None, {"k": 1}),
+        GraphDocument(witness, None, {"k": 1}),
     ]
     out = [json.loads(serialize_json(doc)) for doc in docs]
     # the uncolored decision input

@@ -15,7 +15,7 @@ from knitgraph import (
     MultiplicityTooHighError,
     SelfLoopError,
     YarnGraph,
-    all_fixtures,
+    brute_force_knittable,
     component_labels,
     decide_k_knittable,
     gen_stitch_fixture,
@@ -24,6 +24,7 @@ from knitgraph import (
     topological_sort,
     underlying_knitting_graph,
 )
+from knitgraph.graphs import _find_cycle
 
 B, R, P, U = EdgeColor.BLUE, EdgeColor.RED, EdgeColor.PURPLE, EdgeColor.UNCOLORED
 
@@ -73,6 +74,74 @@ def test_topological_sort_cycle():
         topological_sort(g)
     cycle = exc.value.cycle
     assert sorted(cycle) == [0, 1, 2]
+
+
+def _find_cycle_sweep(g, candidates):
+    """The fixed-point sweep that `_find_cycle` replaced, kept as the
+    oracle: O(n) passes of O(n + m) each on a long tail."""
+    adj = {v: [] for v in candidates}
+    for src, dst, _ in g.edges:
+        if src in candidates and dst in candidates:
+            adj[src].append(dst)
+    live = set(candidates)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(live):
+            if not any(w in live for w in adj[v]):
+                live.discard(v)
+                changed = True
+    v = min(live)
+    path = []
+    pos = {}
+    while v not in pos:
+        pos[v] = len(path)
+        path.append(v)
+        v = min(w for w in adj[v] if w in live)
+    return path[pos[v]:]
+
+
+def _unsorted(g):
+    """The vertices Kahn's algorithm cannot order: cycles and all below them."""
+    indeg = [0] * g.n
+    for _s, d, _c in g.edges:
+        indeg[d] += 1
+    out = g.out_adj()
+    done = [v for v in range(g.n) if not indeg[v]]
+    for v in done:
+        for w, _c in out[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                done.append(w)
+    return set(range(g.n)) - set(done)
+
+
+@st.composite
+def _digraphs(draw):
+    """Simple digraphs on n <= 14 vertices with arbitrary orientations, so
+    most of them have cycles."""
+    n = draw(st.integers(1, 14))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))
+    seen, edges = set(), []
+    for u, v in pairs:
+        if u != v and frozenset((u, v)) not in seen:
+            seen.add(frozenset((u, v)))
+            edges.append((u, v, U))
+    return DirectedKnitGraph(n, tuple(edges))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_digraphs())
+def test_find_cycle_matches_sweep_oracle(g):
+    leftover = _unsorted(g)
+    if not leftover:
+        assert len(topological_sort(g)) == g.n
+        return
+    with pytest.raises(CycleDetectedError) as exc:
+        topological_sort(g)
+    assert exc.value.cycle == _find_cycle_sweep(g, leftover)
+    everything = set(range(g.n))
+    assert _find_cycle(g, everything) == _find_cycle_sweep(g, everything)
 
 
 def test_topological_sort_respects_arcs(rng):
@@ -214,22 +283,25 @@ def test_validation_oracle_covers_every_error():
         assert _outcome(lambda: DirectedKnitGraph(n, edges).edges) == expected
 
 
-def _witness_round_3x3():
-    g = gen_stockinette(3, 3, round=True).graph
-    uncolored = DirectedKnitGraph(g.n, tuple((s, d, U) for s, d, _ in g.edges))
-    coloring, _cover = decide_k_knittable(uncolored, 1)
-    return uncolored, coloring
+def _witnesses():
+    """(input, witness) pairs from `decide_k_knittable` and the oracle."""
+    round33 = gen_stockinette(3, 3, round=True).graph
+    uncolored = DirectedKnitGraph(round33.n, tuple((s, d, U) for s, d, _ in round33.edges))
+    yield uncolored, decide_k_knittable(uncolored, 1)[0]
+    round23 = gen_stockinette(2, 3, round=True).graph
+    for k in (1, 2):
+        yield round23, decide_k_knittable(round23, k)[0]
+        yield round23, brute_force_knittable(round23, k).graph
 
 
 def test_recolored_equals_a_validated_graph():
-    cases = [(f.graph, {(s, d): R for s, d, _ in f.graph.edges[::2]}) for f in all_fixtures()]
-    cases.append(_witness_round_3x3())
-    for g, coloring in cases:
-        trusted = g.recolored(coloring)
-        validated = DirectedKnitGraph(g.n, trusted.edges[::-1])
-        assert trusted == validated
-        assert hash(trusted) == hash(validated)
-        assert trusted.edges == tuple((s, d, coloring.get((s, d), c)) for s, d, c in g.edges)
+    # witnesses are built unchecked from the input's arcs, recolored
+    for g, witness in _witnesses():
+        validated = DirectedKnitGraph(g.n, witness.edges[::-1])
+        assert witness == validated
+        assert hash(witness) == hash(validated)
+        assert [(s, d) for s, d, _ in witness.edges] == [(s, d) for s, d, _ in g.edges]
+        assert {c for _s, _d, c in witness.edges} <= {B, R}
 
 
 @st.composite

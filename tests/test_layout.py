@@ -398,6 +398,22 @@ def test_crossing_flags_partition():
     assert report.crossings_on_red and not report.crossings_on_blue
 
 
+def test_mixed_crossing_reads_both_edge_colors():
+    # one blue and one red edge cross, the blue one first or second in
+    # edge order: a cable of width 1 that sets both flags
+    layout = {
+        0: (0, Fraction(0)),
+        1: (1, Fraction(1)),
+        2: (1, Fraction(0)),
+        3: (0, Fraction(1)),
+    }
+    for first, second in ((B, R), (R, B)):
+        g = DirectedKnitGraph(4, ((0, 1, first), (2, 3, second)))
+        assert cable_width(g, layout) == 1
+        report = classify_complexity(g, layout)
+        assert report.crossings_on_blue and report.crossings_on_red
+
+
 def test_count_rows_flat_family():
     for r in range(1, 9):
         for c in (2, 3, 5):

@@ -49,7 +49,7 @@ def test_round_family_decides_feasible_with_generator_thread():
             assert not any(c_ is P for _, _, c_ in f.graph.edges)
             result = decide_k_knittable(f.graph, 1, RedRule.STRICT)
             assert result is not None, (r, c)
-            _coloring, cover = result
+            _witness, cover = result
             assert cover == f.cover, (r, c)
 
 
