@@ -158,13 +158,11 @@ def decide_k_knittable(
     purple edges are rejected.
     """
     _require_dag(g)
-    if EdgeColor.PURPLE in g.colors():
-        raise PurplePresentError()
-    if k < 0:
-        return None
     try:
-        net = build_flow_network(g, k, rule)
+        net = build_flow_network(g, k, rule)  # raises PurplePresentError
     except InfeasibleVertexError:
+        return None
+    if k < 0:
         return None
     flows = solve_flow_with_bounds(net)
     if flows is None:

@@ -28,8 +28,6 @@ class Role(Enum):
     T = "T"
 
 
-RoleSet = frozenset  # of Role
-
 # (red-in, red-out) pairs realizable by the basic stitches:
 # (0,1) yarn-over, (1,0) top-row stitch, (1,1) knit, (1,2) front-and-back
 # increase, (2,1) two-together decrease.

@@ -7,14 +7,15 @@ exact rationals, so every intersection test below is exact. The crossing
 graph scales the columns (and any fractional rows) by the LCM of their
 denominators, so its orientation tests run on Python ints, and it tests
 only the edge pairs whose bounding boxes overlap, found by a sweep over
-row bands and x intervals. On knit layouts, where edges are short, that
-is O((n + m) log n) plus the number of overlapping pairs.
+row bands and x intervals. Vertices join the same sweep as one-point
+edges, so one search finds every vertex-edge and edge-edge incidence. On
+knit layouts, where edges are short, that is O((n + m) log(n + m)) plus
+the number of overlapping pairs.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -87,14 +88,6 @@ def _orient(a: Point, b: Point, c: Point) -> int:
     return (val > 0) - (val < 0)
 
 
-def _on_segment(a: Point, b: Point, p: Point) -> bool:
-    """p collinear with ab assumed; is p within the closed box of ab?"""
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
-
-
 def _scaled_points(
     g: DirectedKnitGraph | KnittingGraph, layout: Layout
 ) -> tuple[dict[int, tuple[int, int]], tuple[int, int]]:
@@ -129,49 +122,6 @@ def _scaled_points(
     return points, (sx, sy)
 
 
-def _check_vertices_off_edges(
-    pairs: list[tuple[int, int]],
-    points: dict[int, tuple[int, int]],
-    scale: tuple[int, int],
-) -> None:
-    """Raise for the first edge, in edge order, with a non-incident vertex
-    in its interior. Only the rows the edge spans are looked at: a
-    horizontal edge bisects its row for the points strictly between its
-    ends, any other edge bisects each row strictly between its end rows for
-    the one x where it meets that row."""
-    by_row: dict[int, list[tuple[int, int]]] = {}
-    for v, p in points.items():
-        by_row.setdefault(p[1], []).append((p[0], v))
-    for row in by_row.values():
-        row.sort()
-    rows = sorted(by_row)
-    for u, w in pairs:
-        (ax, ay), (bx, by) = points[u], points[w]
-        hits = []
-        if ay == by:
-            row = by_row[ay]
-            lo = bisect_right(row, (min(ax, bx), len(points)))
-            hi = bisect_left(row, (max(ax, bx), -1))
-            hits = [v for _x, v in row[lo:hi]]
-        else:
-            dy = by - ay
-            lo = bisect_right(rows, min(ay, by))
-            hi = bisect_left(rows, max(ay, by))
-            for y in rows[lo:hi]:
-                num = ax * dy + (y - ay) * (bx - ax)
-                if num % dy:
-                    continue  # the edge meets this row off every int x
-                row = by_row[y]
-                k = bisect_left(row, (num // dy, -1))
-                if k < len(row) and row[k][0] == num // dy:
-                    hits.append(row[k][1])
-        if hits:
-            v = min(hits)
-            raise DegenerateLayoutError(
-                _unscale(points[v], scale), f"vertex {v} lies on edge {(u, w)}"
-            )
-
-
 def _unscale(p: tuple[int, int], scale: tuple[int, int], den: int = 1) -> Point:
     return (Fraction(p[0], scale[0] * den), Fraction(p[1], scale[1] * den))
 
@@ -181,7 +131,7 @@ def _candidate_pairs(
 ) -> list[tuple[int, int]]:
     """Edge index pairs (i < j), ascending, whose closed bounding boxes
     overlap and that share no vertex: the only pairs that can cross,
-    overlap or touch.
+    overlap or touch. An edge may be a single point (v, v).
 
     Every edge joins in the band of each row from its lower to its upper
     end row. Closed y ranges over the same rows overlap exactly when the
@@ -223,43 +173,51 @@ def crossing_graph(
     """All proper pairwise crossings of the straight-line drawing.
 
     Degenerate drawings are rejected: duplicate vertex positions, a vertex
-    in the interior of a non-incident edge, overlapping collinear edges, or
-    three edges through one non-vertex point. The first such fault, in
-    vertex order, then edge order, then edge-pair order, is the one raised,
-    with its point in layout coordinates.
+    in the interior of a non-incident edge (which is also how overlapping
+    collinear edges show), or three edges through one non-vertex point.
+    The first such fault, in vertex order, then (edge, vertex) order, then
+    edge-pair order, is the one raised, with its point in layout
+    coordinates.
 
     Coordinates are scaled to ints first (see `_scaled_points`), so every
-    test is exact without `Fraction` arithmetic. Vertex-on-edge checks
-    bisect only the rows an edge spans, and segment tests run only on the
-    pairs whose bounding boxes overlap (`_candidate_pairs`). On a knit
-    layout, where each edge spans at most a row or two and a few columns,
-    this costs O((n + m) log n) plus the number of overlapping pairs,
-    instead of O(m * n + m^2). An edge spanning r rows costs O(r) bands
-    and row probes, so a drawing of long edges across many rows degrades
-    towards the quadratic bound.
+    test is exact without `Fraction` arithmetic. Orientation tests run only
+    on the pairs whose bounding boxes overlap (`_candidate_pairs`), with
+    each vertex swept along as a one-point edge. On a knit layout, where
+    each edge spans at most a row or two and a few columns, this costs
+    O((n + m) log(n + m)) plus the number of overlapping pairs, instead of
+    O(m * n + m^2). An edge spanning r rows joins O(r) bands, so a drawing
+    of long edges across many rows degrades towards the quadratic bound.
     """
     if isinstance(g, KnittingGraph):
         pairs = list(g.edges)
     else:
         pairs = [(s, d) for s, d, _ in g.edges]
     points, scale = _scaled_points(g, layout)
-    _check_vertices_off_edges(pairs, points, scale)
+    # Vertex v joins the sweep as the one-point edge m + v, so a candidate
+    # (i, m + v) is a vertex in the closed box of edge i, and on the edge
+    # exactly when collinear with it; candidates come in (edge, vertex)
+    # order, so the first such pair is the fault to report.
+    m = len(pairs)
+    candidates = _candidate_pairs(pairs + [(v, v) for v in range(g.n)], points)
+    for i, j in candidates:
+        if j >= m:
+            (u, w), v = pairs[i], j - m
+            if _orient(points[u], points[w], points[v]) == 0:
+                raise DegenerateLayoutError(
+                    _unscale(points[v], scale), f"vertex {v} lies on edge {(u, w)}"
+                )
 
     links: list[tuple[int, int]] = []
     meeting: dict[tuple[int, int, int], set[int]] = {}
-    for i, j in _candidate_pairs(pairs, points):
+    for i, j in candidates:
+        if j >= m:
+            continue
         (u1, w1), (u2, w2) = pairs[i], pairs[j]
         a, b, c, d = points[u1], points[w1], points[u2], points[w2]
         o1 = _orient(a, b, c)
         o2 = _orient(a, b, d)
-        if o1 == 0 and o2 == 0:
-            # guard: an overlap puts an end of one edge inside the other,
-            # which the vertex check above has already rejected
-            if _on_segment(a, b, c) or _on_segment(a, b, d) or _on_segment(c, d, a):
-                raise DegenerateLayoutError(
-                    _unscale(c, scale), "collinear overlapping edges"
-                )
-            continue
+        # Collinear edges (o1 == o2 == 0) that meet would put a vertex on
+        # an edge or share a position, both rejected above.
         if o1 == o2 or 0 in (o1, o2):
             continue
         o3 = _orient(c, d, a)

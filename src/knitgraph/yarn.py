@@ -77,104 +77,101 @@ def _weak_components(y: YarnGraph) -> list[list[int]]:
     return [comp for comp in comps if len(comp) > 1]
 
 
-class _TrailWalker:
-    """Greedy trail construction with loop-strand-first arc choice.
-
-    At each step the walker prefers (1) the unused reversal of the arc it
-    just traversed, then (2) arcs whose reversal is still unused (loop
-    strands, consumed as atomic down-up detours), then (3) the lowest-index
-    remaining arc. This keeps sequential arcs of a well-formed yarn graph in
-    thread order inside each trail.
-
-    A walk never leaves the weak component it starts in, so one walker
-    serves every component; `remaining` counts the unused arcs of the
-    component being walked and is set by the caller.
-    """
-
-    def __init__(self, y: YarnGraph):
-        self.y = y
-        self.used = [False] * y.m
-        self.out: dict[int, list[int]] = {}
-        self.by_dir: dict[tuple[int, int], list[int]] = {}
-        for i, (src, dst) in enumerate(y.arcs):
-            self.out.setdefault(src, []).append(i)
-            self.by_dir.setdefault((src, dst), []).append(i)
-        self.remaining = 0
-
-    def _first_unused(self, direction: tuple[int, int]) -> int | None:
-        for i in self.by_dir.get(direction, ()):
-            if not self.used[i]:
-                return i
-        return None
-
-    def _choose(self, v: int, last_arc: int | None) -> int | None:
-        if last_arc is not None:
-            src, dst = self.y.arcs[last_arc]
-            back = self._first_unused((dst, src))
-            if back is not None:
-                return back
-        fallback = None
-        for i in self.out.get(v, ()):
-            if self.used[i]:
-                continue
-            if fallback is None:
-                fallback = i
-            src, dst = self.y.arcs[i]
-            if self._first_unused((dst, src)) is not None:
-                return i
-        return fallback
-
-    def walk(self, start: int) -> tuple[list[int], list[int]]:
-        arcs: list[int] = []
-        vertices = [start]
-        v = start
-        last: int | None = None
-        while True:
-            nxt = self._choose(v, last)
-            if nxt is None:
-                return arcs, vertices
-            self.used[nxt] = True
-            self.remaining -= 1
-            v = self.y.arcs[nxt][1]
-            arcs.append(nxt)
-            vertices.append(v)
-            last = nxt
-
-    def splice_leftovers(self, trails: list[tuple[list[int], list[int]]]):
-        """Insert leftover balanced circuits into existing trails in place."""
-        while self.remaining:
-            spliced = False
-            for arcs, vertices in trails:
-                for pos, v in enumerate(vertices):
-                    if any(not self.used[i] for i in self.out.get(v, ())):
-                        sub_arcs, sub_vertices = self.walk(v)
-                        if sub_vertices[-1] != v:
-                            raise NoEulerianPathError(
-                                "imbalance", [(v, "stuck while splicing")]
-                            )
-                        arcs[pos:pos] = sub_arcs
-                        vertices[pos + 1 : pos + 1] = sub_vertices[1:]
-                        spliced = True
-                        break
-                if spliced:
-                    break
-            if not spliced:
-                raise NoEulerianPathError("disconnected")
-
-
 def _component_trails(y: YarnGraph, comps: list[list[int]]) -> list[Trail]:
     """Trails covering the arcs of each weak component in `comps` (sorted
     vertex lists): one per unit of out-excess, started at the excess
-    vertices in id order, or one from the smallest vertex if balanced."""
-    walker = _TrailWalker(y)
+    vertices in id order, or one from the smallest vertex if balanced.
+
+    At each step a walk prefers (1) the unused reversal of the arc it just
+    traversed, then (2) the lowest-index unused out-arc whose reversal is
+    still unused (loop strands, consumed as atomic down-up detours), then
+    (3) the lowest-index unused out-arc. This keeps sequential arcs of a
+    well-formed yarn graph in thread order inside each trail.
+
+    All walks of a component come first; then one forward pass over each
+    trail walks the leftover circuit at every vertex that still has an
+    unused out-arc and inserts it at that position (Hierholzer, 1873).
+    Splicing only uses arcs up, so the positions already passed stay
+    exhausted. Each lookup keeps a cursor that only moves forward, because
+    its test can only turn false as arcs get used, so a component costs
+    O(arcs) whatever the number of splices.
+    """
+    n, ends = y.n, y.arcs
+    used = [False] * y.m
+    out: list[list[int]] = [[] for _ in range(n)]
+    by_dir: dict[int, list[int]] = {}  # src * n + dst -> arcs, descending
+    for i, (src, dst) in enumerate(ends):
+        out[src].append(i)
+        by_dir.setdefault(src * n + dst, []).append(i)
+    for group in by_dir.values():
+        group.reverse()  # used arcs pop off the end: the direction's cursor
+    free = [0] * n  # out[v][free[v]] is the first unused out-arc
+    loop = [0] * n  # ... and out[v][loop[v]] the first with an unused reversal
+
+    def first_unused(src: int, dst: int) -> int | None:
+        group = by_dir.get(src * n + dst, ())
+        while group and used[group[-1]]:
+            group.pop()
+        return group[-1] if group else None
+
+    def first_free(v: int) -> int | None:
+        arcs, p = out[v], free[v]
+        while p < len(arcs) and used[arcs[p]]:
+            p += 1
+        free[v] = p
+        return arcs[p] if p < len(arcs) else None
+
+    def first_loop(v: int) -> int | None:
+        arcs, p = out[v], loop[v]
+        while p < len(arcs) and (
+            used[arcs[p]] or first_unused(ends[arcs[p]][1], v) is None
+        ):
+            p += 1
+        loop[v] = p
+        return arcs[p] if p < len(arcs) else None
+
+    def walk(v: int) -> list[int]:
+        arcs: list[int] = []
+        back = None
+        while True:
+            nxt = None if back is None else first_unused(v, back)
+            if nxt is None:
+                nxt = first_loop(v)
+            if nxt is None:
+                nxt = first_free(v)
+            if nxt is None:
+                return arcs
+            used[nxt] = True
+            back, v = v, ends[nxt][1]
+            arcs.append(nxt)
+
+    def splice(start: int, arcs: list[int]) -> Trail:
+        spliced: list[int] = []
+        pending = [iter(arcs)]  # the trail, then the circuits nested in it
+        v = start
+        while pending:
+            if first_free(v) is not None:
+                circuit = walk(v)
+                if ends[circuit[-1]][1] != v:
+                    raise NoEulerianPathError("imbalance", [(v, "stuck while splicing")])
+                pending.append(iter(circuit))
+            arc = next(pending[-1], None)
+            if arc is None:
+                pending.pop()
+                continue
+            spliced.append(arc)
+            v = ends[arc][1]
+        return Trail(tuple(spliced), (start, *(ends[arc][1] for arc in spliced)))
+
     degrees = y.degrees()
     trails: list[Trail] = []
     for comp in comps:
-        walker.remaining = sum(degrees[v][1] for v in comp)
         starts = [v for v in comp for _ in range(degrees[v][1] - degrees[v][0])]
-        raw = [walker.walk(s) for s in starts or comp[:1]]
-        walker.splice_leftovers(raw)
-        trails.extend(Trail(tuple(a), tuple(v)) for a, v in raw)
+        walks = [(s, walk(s)) for s in starts or comp[:1]]
+        spliced = [splice(s, arcs) for s, arcs in walks]
+        if sum(len(t.arcs) for t in spliced) < sum(degrees[v][1] for v in comp):
+            raise NoEulerianPathError("disconnected")
+        trails.extend(spliced)
     return trails
 
 
@@ -214,11 +211,9 @@ def eulerian_path(y: YarnGraph, component: list[int] | None = None) -> Trail:
     imbalances = [(v, excess[v]) for v in comp if excess[v]]
     if sorted(d for _, d in imbalances) not in ([], [-1], [1], [-1, 1]):
         raise NoEulerianPathError("imbalance", imbalances)
-    if component is not None:
-        labels = component_labels(y.n, y.arcs)
-        if any(labels[v] != labels[bearing[0]] for v in bearing):
-            raise NoEulerianPathError("disconnected")
 
+    # A component that falls apart leaves arcs no splice reaches, which
+    # `_component_trails` reports as disconnected.
     (trail,) = _component_trails(y, [bearing])
     return trail
 

@@ -27,9 +27,17 @@ from knitgraph import (
     is_planar,
     underlying_knitting_graph,
 )
-from knitgraph.layout import CrossingGraph, _on_segment, _orient, _point
+from knitgraph.layout import CrossingGraph, _orient, _point
 
 B, R, P, U = EdgeColor.BLUE, EdgeColor.RED, EdgeColor.PURPLE, EdgeColor.UNCOLORED
+
+
+def _on_segment(a, b, p):
+    """p collinear with ab assumed; is p within the closed box of ab?"""
+    return (
+        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+    )
 
 
 def _proper_crossing(a, b, c, d):
@@ -285,6 +293,15 @@ def test_crossing_graph_degenerate_error_points():
     with pytest.raises(DegenerateLayoutError, match="vertex 2 lies on edge") as info:
         crossing_graph(g, on_edge)
     assert info.value.point == (Fraction(2, 3), Fraction(1))
+
+    # vertex 5 inside edge 0 and vertex 4 inside edge 1: the first edge is
+    # named, although the later edge holds the smaller vertex
+    two_on_edges = {0: (0, 0), 1: (0, 4), 2: (2, 0), 3: (2, 4), 4: (2, 2), 5: (0, 2)}
+    g = KnittingGraph(6, ((0, 1), (2, 3)))
+    with pytest.raises(DegenerateLayoutError, match=r"vertex 5 lies on edge \(0, 1\)") as info:
+        crossing_graph(g, two_on_edges)
+    assert info.value.point == (Fraction(2), Fraction(0))
+    assert assert_matches_oracle(g, two_on_edges)[0] == "error"
 
     # a duplicate before the first missing vertex wins, as in vertex order
     g = KnittingGraph(4, ())

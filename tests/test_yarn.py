@@ -3,7 +3,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knitgraph import (
@@ -19,7 +19,7 @@ from knitgraph import (
     reduce_yarn_to_directed,
     yarn_from_threads,
 )
-from knitgraph.yarn import Trail, _TrailWalker
+from knitgraph.yarn import Trail
 
 B, R, P = EdgeColor.BLUE, EdgeColor.RED, EdgeColor.PURPLE
 
@@ -197,6 +197,87 @@ def _weak_components_reference(y):
     return comps
 
 
+class _TrailWalker:
+    """The restarting walker that `_component_trails` replaced, kept as the
+    oracle for its trails.
+
+    Same arc choice: the unused reversal of the last arc, then the first
+    out-arc whose reversal is unused, then the first unused out-arc. Every
+    lookup rescans from index 0, and after each splice the search for the
+    next leftover restarts at the first position of the first trail.
+    """
+
+    def __init__(self, y: YarnGraph):
+        self.y = y
+        self.used = [False] * y.m
+        self.out: dict[int, list[int]] = {}
+        self.by_dir: dict[tuple[int, int], list[int]] = {}
+        for i, (src, dst) in enumerate(y.arcs):
+            self.out.setdefault(src, []).append(i)
+            self.by_dir.setdefault((src, dst), []).append(i)
+        self.remaining = 0
+
+    def _first_unused(self, direction):
+        for i in self.by_dir.get(direction, ()):
+            if not self.used[i]:
+                return i
+        return None
+
+    def _choose(self, v, last_arc):
+        if last_arc is not None:
+            src, dst = self.y.arcs[last_arc]
+            back = self._first_unused((dst, src))
+            if back is not None:
+                return back
+        fallback = None
+        for i in self.out.get(v, ()):
+            if self.used[i]:
+                continue
+            if fallback is None:
+                fallback = i
+            src, dst = self.y.arcs[i]
+            if self._first_unused((dst, src)) is not None:
+                return i
+        return fallback
+
+    def walk(self, start):
+        arcs = []
+        vertices = [start]
+        v = start
+        last = None
+        while True:
+            nxt = self._choose(v, last)
+            if nxt is None:
+                return arcs, vertices
+            self.used[nxt] = True
+            self.remaining -= 1
+            v = self.y.arcs[nxt][1]
+            arcs.append(nxt)
+            vertices.append(v)
+            last = nxt
+
+    def splice_leftovers(self, trails):
+        """Insert leftover balanced circuits into existing trails in place."""
+        while self.remaining:
+            spliced = False
+            for arcs, vertices in trails:
+                for pos, v in enumerate(vertices):
+                    if any(not self.used[i] for i in self.out.get(v, ())):
+                        sub_arcs, sub_vertices = self.walk(v)
+                        if sub_vertices[-1] != v:
+                            raise NoEulerianPathError(
+                                "imbalance", [(v, "stuck while splicing")]
+                            )
+                        arcs[pos:pos] = sub_arcs
+                        vertices[pos + 1 : pos + 1] = sub_vertices[1:]
+                        spliced = True
+                        break
+                if spliced:
+                    break
+            if not spliced:
+                raise NoEulerianPathError("disconnected")
+
+
 def _walk_reference(y, comp, starts):
     """The old per-component set-up: count the arcs leaving `comp`, walk
     from each start, then splice the leftovers in."""
@@ -285,6 +366,40 @@ def _outcome(fn):
         return type(exc), exc.args, exc.reason, exc.detail
 
 
+def _flower(k):
+    """k triangles through vertex 0, each with a side triangle at its
+    first vertex: the main walk takes every petal and leaves each side
+    triangle as a leftover circuit to splice in."""
+    arcs = []
+    for j in range(k):
+        a, b, c, d = 4 * j + 1, 4 * j + 2, 4 * j + 3, 4 * j + 4
+        arcs += [(0, a), (a, b), (b, 0), (a, c), (c, d), (d, a)]
+    return YarnGraph(4 * k + 1, tuple(arcs))
+
+
+def _cycle_with_circuits(length, circuit):
+    """A directed cycle on 0..length-1, listed first, with a private
+    2-cycle (circuit=2) or directed triangle (circuit=3) hung on each of
+    its vertices."""
+    arcs = [(v, (v + 1) % length) for v in range(length)]
+    n = length
+    for v in range(length):
+        ring = [v] + list(range(n, n + circuit - 1))
+        n += circuit - 1
+        arcs += list(zip(ring, ring[1:] + ring[:1]))
+    return YarnGraph(n, tuple(arcs))
+
+
+def _triangle_chain(k):
+    """k directed triangles, each hung on the middle vertex of the one
+    before: every splice lands inside the circuit spliced just before."""
+    arcs = []
+    for j in range(k):
+        hang, mid, last = 2 * j - 1 if j else 0, 2 * j + 1, 2 * j + 2
+        arcs += [(hang, mid), (mid, last), (last, hang)]
+    return YarnGraph(2 * k + 1, tuple(arcs))
+
+
 @st.composite
 def _multigraph_and_component(draw):
     """A yarn multigraph on n <= 7 vertices, half the time with every arc
@@ -306,6 +421,15 @@ def _multigraph_and_component(draw):
 
 @settings(max_examples=1500, deadline=None)
 @given(_multigraph_and_component())
+# components whose leftovers need many splices, which the small drawn
+# graphs never reach
+@example((_flower(1), None))
+@example((_flower(2), None))
+@example((_flower(50), None))
+@example((_flower(400), None))
+@example((_cycle_with_circuits(60, 2), None))
+@example((_cycle_with_circuits(60, 3), None))
+@example((_triangle_chain(60), None))
 def test_eulerian_path_and_minimum_yarns_match_reference(case):
     y, component = case
     got = _outcome(lambda: eulerian_path(y, component))
