@@ -5,6 +5,13 @@ A thread cover is an ordered tuple of vertex-disjoint directed paths whose
 union is the whole vertex set; threads are reported sorted by their first
 vertex, and the flow solver processes arcs in normalized order, so every
 returned witness is reproducible.
+
+One thread needs no flow. A 1-thread cover of a DAG is a Hamiltonian path,
+and a DAG has at most one: its topological order, when that order is a
+chain, i.e. each consecutive pair is an arc (then the order is unique;
+Kahn 1962). So `has_hamiltonian_path_dag` and `decide_k_knittable` with
+k = 1 answer from the order in O(n + m); every other decision, and the
+minimum path cover, goes through the flow network.
 """
 
 from __future__ import annotations
@@ -38,14 +45,27 @@ def _require_dag(g: DirectedKnitGraph) -> list[int]:
         raise NotADagError(exc.cycle) from exc
 
 
+def _is_chain(g: DirectedKnitGraph, order: list[int]) -> bool:
+    """Whether each consecutive pair of the topological order is an arc.
+
+    An arc joins at most one consecutive pair and each pair has at most one
+    arc, so counting the arcs that step one position forward is enough;
+    an empty order is a chain.
+    """
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    steps = 0
+    for src, dst, _ in g.edges:
+        if pos[dst] - pos[src] == 1:
+            steps += 1
+    return steps >= g.n - 1
+
+
 def has_hamiltonian_path_dag(g: DirectedKnitGraph) -> list[int] | None:
     """Topological order if consecutive vertices are joined by arcs, else None."""
     order = _require_dag(g)
-    arcs = {(s, d) for s, d, _ in g.edges}
-    for u, v in zip(order, order[1:]):
-        if (u, v) not in arcs:
-            return None
-    return order
+    return order if _is_chain(g, order) else None
 
 
 def vertex_roles(
@@ -79,9 +99,20 @@ def build_flow_network(
     its head a middle-or-end. Start/end capability wires the vertex to the
     super source/sink, which themselves carry exactly k units.
     """
+    return _assemble_network(g, _threadable_roles(g, rule), k, k)
+
+
+def _threadable_roles(
+    g: DirectedKnitGraph, rule: RedRule
+) -> list[frozenset[Role]]:
+    """`vertex_roles` of g, after rejecting purple edges.
+
+    Every decision checks in this order: PurplePresentError, then
+    InfeasibleVertexError for the first vertex with no role.
+    """
     if EdgeColor.PURPLE in g.colors():
         raise PurplePresentError()
-    return _assemble_network(g, vertex_roles(g, rule), k, k)
+    return vertex_roles(g, rule)
 
 
 def _assemble_network(
@@ -156,9 +187,16 @@ def decide_k_knittable(
     Returns the witness, g with its thread arcs blue and the rest red, plus
     the thread cover, or None when infeasible. Input colors are ignored;
     purple edges are rejected.
+
+    For k = 1 and n >= 1 the only candidate is the Hamiltonian path, so the
+    decision is a role check along the topological order, O(n + m): the
+    first vertex must be able to start the thread, the last to end it, and
+    every other vertex to continue it. Every other k takes the flow.
     """
-    _require_dag(g)
+    order = _require_dag(g)
     try:
+        if k == 1 and order:
+            return _one_thread(g, order, _threadable_roles(g, rule))
         net = build_flow_network(g, k, rule)  # raises PurplePresentError
     except InfeasibleVertexError:
         return None
@@ -168,6 +206,21 @@ def decide_k_knittable(
     if flows is None:
         return None
     cover = extract_threads(net, flows)
+    return _witness(g, cover), cover
+
+
+def _one_thread(
+    g: DirectedKnitGraph, order: list[int], roles: list[frozenset[Role]]
+) -> tuple[DirectedKnitGraph, ThreadCover] | None:
+    """The 1-thread witness and cover of a non-empty DAG with this
+    topological order and these roles, or None when it has none."""
+    # On a chain the first vertex has no in-arc, so start is the only role
+    # it can have, and the last has no out-arc, so end is its only one;
+    # vertex_roles has given both a role. The inner vertices must be able
+    # to continue the thread.
+    if not (_is_chain(g, order) and all(Role.M in roles[v] for v in order[1:-1])):
+        return None
+    cover = (tuple(order),)
     return _witness(g, cover), cover
 
 
@@ -188,10 +241,8 @@ def sweep_feasible_k(
     if top < 1:  # no k to try, so nothing is checked, as with one decision per k
         return []
     _require_dag(g)
-    if EdgeColor.PURPLE in g.colors():
-        raise PurplePresentError()
     try:
-        roles = vertex_roles(g, rule)
+        roles = _threadable_roles(g, rule)
     except InfeasibleVertexError:
         return []
     bounds = solve_flow_range(_assemble_network(g, roles, 0, g.n))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 from .errors import (
     CycleDetectedError,
@@ -70,8 +71,13 @@ class DirectedKnitGraph:
 
     @classmethod
     def _trusted(cls, n: int, edges: tuple[ColoredEdge, ...]) -> "DirectedKnitGraph":
-        """Build without validation from arcs that some graph already passed,
-        kept in its canonical order."""
+        """Build without validation from edges that are valid as given and
+        sorted by (src, dst), the canonical order validation produces.
+
+        Nothing checks either: `topological_sort` reads each vertex's
+        out-arcs as one slice of that order, so unsorted edges would give
+        a wrong order without an error.
+        """
         graph = object.__new__(cls)
         object.__setattr__(graph, "n", n)
         object.__setattr__(graph, "edges", edges)
@@ -202,20 +208,25 @@ def component_labels(n: int, pairs) -> list[int]:
 def topological_sort(g: DirectedKnitGraph) -> list[int]:
     """Kahn's algorithm with a min-heap so ties break toward smaller ids.
 
-    Raises CycleDetectedError carrying one concrete cycle.
+    The edges are sorted by (src, dst), so the successors of v are the
+    heads of one slice of them, found from out-degree offsets; no list is
+    built per vertex. Raises CycleDetectedError carrying one concrete cycle.
     """
-    indeg = [0] * g.n
-    adj: list[list[int]] = [[] for _ in range(g.n)]
+    n = g.n
+    indeg = [0] * n
+    start = [0] * (n + 1)  # out-arcs of v: heads[start[v]:start[v + 1]]
     for src, dst, _ in g.edges:
-        adj[src].append(dst)
+        start[src + 1] += 1
         indeg[dst] += 1
-    heap = [v for v in range(g.n) if indeg[v] == 0]
+    start = list(accumulate(start))
+    heads = [dst for _, dst, _ in g.edges]
+    heap = [v for v in range(n) if indeg[v] == 0]
     heapq.heapify(heap)
     order: list[int] = []
     while heap:
         v = heapq.heappop(heap)
         order.append(v)
-        for w in adj[v]:
+        for w in heads[start[v]:start[v + 1]]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(heap, w)
@@ -284,38 +295,41 @@ def reduce_yarn_to_directed(
     if hamiltonian_order is not None:
         pos = {v: i for i, v in enumerate(hamiltonian_order)}
 
-    first_index: dict[frozenset[int], int] = {}
-    counts: dict[frozenset[int], dict[tuple[int, int], int]] = {}
-    for i, (src, dst) in enumerate(y.arcs):
-        pair = frozenset((src, dst))
-        if pair not in counts:
-            counts[pair] = {}
-            first_index[pair] = i
-        counts[pair][(src, dst)] = counts[pair].get((src, dst), 0) + 1
+    # Pair {a, b}, a < b, is keyed by the int a * n + b and counts its arcs
+    # a -> b and b -> a, plus whether its first arc ran a -> b; dict order
+    # is first-traversal order, so faults are reported in that order.
+    n = y.n
+    counts: dict[int, list] = {}
+    for src, dst in y.arcs:
+        forward = src < dst
+        key = src * n + dst if forward else dst * n + src
+        tally = counts.get(key)
+        if tally is None:
+            tally = counts[key] = [0, 0, forward]
+        tally[0 if forward else 1] += 1
 
     edges: list[ColoredEdge] = []
-    for pair, by_dir in sorted(counts.items(), key=lambda kv: first_index[kv[0]]):
-        total = sum(by_dir.values())
-        a, b = sorted(pair)
+    for key, (ahead, back, first_ahead) in counts.items():
+        a, b = divmod(key, n)
+        total = ahead + back
         if total > 3:
             raise MultiplicityTooHighError((a, b), total)
         if total == 1:
-            (src, dst), _ = next(iter(by_dir.items()))
-            edges.append((src, dst, EdgeColor.BLUE))
+            edges.append((a, b, EdgeColor.BLUE) if ahead else (b, a, EdgeColor.BLUE))
         elif total == 2:
-            if len(by_dir) != 2:
+            if ahead != 1:
                 raise InconsistentPairError((a, b), "loop strands must run in opposite directions")
             if pos:
-                src, dst = (a, b) if pos.get(a, a) < pos.get(b, b) else (b, a)
+                along = pos.get(a, a) < pos.get(b, b)
             else:
-                src, dst = y.arcs[first_index[pair]]
-            edges.append((src, dst, EdgeColor.RED))
+                along = first_ahead
+            edges.append((a, b, EdgeColor.RED) if along else (b, a, EdgeColor.RED))
         else:  # total == 3: one loop pair plus the sequential strand
-            majority = [d for d, c in by_dir.items() if c == 2]
-            if len(by_dir) != 2 or not majority:
+            if ahead not in (1, 2):
                 raise InconsistentPairError(
                     (a, b), "mixed edge needs a loop pair plus one sequential strand"
                 )
-            src, dst = majority[0]
-            edges.append((src, dst, EdgeColor.PURPLE))
-    return DirectedKnitGraph(y.n, tuple(edges))
+            edges.append((a, b, EdgeColor.PURPLE) if ahead == 2 else (b, a, EdgeColor.PURPLE))
+    # one edge per pair of in-range, distinct vertices: valid as built
+    edges.sort()
+    return DirectedKnitGraph._trusted(n, tuple(edges))

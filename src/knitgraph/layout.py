@@ -316,6 +316,17 @@ def classify_complexity(
     return ComplexityReport(cls, planar, crossings_red, crossings_blue)
 
 
+def _drawn_plane(g: DirectedKnitGraph, layout: Layout | None) -> bool:
+    """Whether layout is a non-degenerate drawing of g with no crossings,
+    which makes it a plane straight-line drawing, so g is planar."""
+    if layout is None:
+        return False
+    try:
+        return not crossing_graph(g, layout).links
+    except DegenerateLayoutError:
+        return False
+
+
 def _class0_configs_ok(g: DirectedKnitGraph, rule: RedRule) -> bool:
     if EdgeColor.UNCOLORED in g.colors():
         return False
@@ -391,10 +402,11 @@ def count_rows(
     With a drawing, rows come from side switches of outgoing loop edges
     along the thread; without one, from the loop layering (each stitch one
     row above its loop parents). Stitches with no loop edges keep the
-    current row in both schemes.
+    current row in both schemes. A drawing without crossings proves
+    planarity; otherwise the networkx test decides it.
     """
     thread = _thread_of(cover)
-    if not is_planar(underlying_knitting_graph(g)):
+    if not _drawn_plane(g, layout) and not is_planar(underlying_knitting_graph(g)):
         raise NotPlanarLayoutError()
     if not thread:
         return 0

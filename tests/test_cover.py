@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_dags, disjoint_union, random_dag, relabel
@@ -520,3 +520,123 @@ def test_vertex_roles_reports_first_bad_vertex():
     with pytest.raises(InfeasibleVertexError) as info:
         vertex_roles(chain(3))
     assert (info.value.vertex, info.value.indeg, info.value.outdeg) == (0, 0, 1)
+
+
+# The flow path that k = 1 took before the topological-chain check, kept
+# as the oracle of that check; `minimum_path_cover` still runs the flow and
+# is the oracle of `has_hamiltonian_path_dag`.
+
+
+def _flow_decide_one(g, rule):
+    """`decide_k_knittable(g, 1, rule)` through the flow network."""
+    cover_module._require_dag(g)
+    try:
+        net = build_flow_network(g, 1, rule)
+    except InfeasibleVertexError:
+        return None
+    flows = solve_flow_with_bounds(net)
+    if flows is None:
+        return None
+    threads = extract_threads(net, flows)
+    return cover_module._witness(g, threads), threads
+
+
+@st.composite
+def one_thread_candidates(draw):
+    """Random DAGs, which rarely have a Hamiltonian path, plus pieces that
+    do: chains, chains with extra forward arcs, and round stockinette, each
+    on a shuffled vertex order."""
+    kind = draw(st.sampled_from(["dag", "chain", "chain+", "round"]))
+    if kind == "dag":
+        return draw(small_dags())
+    if kind == "round":
+        g = gen_stockinette(draw(st.integers(2, 5)), draw(st.integers(2, 5)), round=True).graph
+        return relabel(g, draw(st.permutations(range(g.n))))
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(n)))
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    if kind == "chain+":
+        skips = [(i, j) for i in range(n) for j in range(i + 2, n)]
+        keep = draw(st.lists(st.booleans(), min_size=len(skips), max_size=len(skips)))
+        pairs += [pair for pair, k in zip(skips, keep) if k]
+    return DirectedKnitGraph(n, tuple((order[i], order[j], U) for i, j in pairs))
+
+
+@settings(max_examples=600, deadline=None)
+@given(one_thread_candidates(), st.sampled_from(list(RedRule)))
+# a chain whose last inner vertex 3 alone has no middle role (T only)
+@example(
+    DirectedKnitGraph(5, tuple((s, d, U) for s, d in (
+        (0, 1), (1, 2), (2, 3), (3, 4), (0, 3), (1, 3), (2, 4)))),
+    RedRule.STRICT,
+)
+def test_one_thread_answers_match_the_flow(g, rule):
+    assert decide_k_knittable(g, 1, rule) == _flow_decide_one(g, rule)
+    count, threads = minimum_path_cover(g)
+    order = has_hamiltonian_path_dag(g)
+    assert (order is not None) == (count <= 1)
+    if order:
+        assert threads == (tuple(order),)
+
+
+def test_one_thread_matches_the_flow_at_scale():
+    # criterion 10 decides this piece on the chain check, so this is the
+    # test that runs the flow at 10^5 vertices
+    g = gen_stockinette(300, 330, round=True).graph
+    fast = decide_k_knittable(g, 1)
+    assert fast is not None
+    assert fast == _flow_decide_one(g, RedRule.STRICT)
+
+
+def test_one_thread_builds_no_flow_network(monkeypatch):
+    def no_flow(*_args):
+        raise AssertionError("flow network built for one thread")
+
+    monkeypatch.setattr(cover_module, "_assemble_network", no_flow)
+    g = gen_stockinette(4, 4, round=True).graph
+    witness, threads = decide_k_knittable(g, 1)
+    assert threads == (tuple(range(16)),) and check_coloring(witness, 1).valid
+    assert has_hamiltonian_path_dag(g) == list(range(16))
+    assert decide_k_knittable(round_kfb(), 1) is None  # inner vertex 1 can only start one
+    assert decide_k_knittable(DirectedKnitGraph(3, ((0, 1, U), (0, 2, U))), 1) is None
+
+
+def test_one_thread_edge_cases():
+    empty, single = DirectedKnitGraph(0, ()), DirectedKnitGraph(1, ())
+    for rule in RedRule:
+        # n = 0 still goes to the flow, which finds no 1-thread cover
+        assert decide_k_knittable(empty, 1, rule) is None
+        assert _flow_decide_one(empty, rule) is None
+        # a lone vertex can neither start nor end a thread (degrees 0, 0)
+        assert decide_k_knittable(single, 1, rule) is None
+        assert _flow_decide_one(single, rule) is None
+    assert has_hamiltonian_path_dag(empty) == []
+    assert has_hamiltonian_path_dag(single) == [0]
+
+    # purple is rejected before the role check and before the chain check
+    P = EdgeColor.PURPLE
+    purple_chain = DirectedKnitGraph(3, ((0, 1, P), (1, 2, U)))
+    roleless_purple = DirectedKnitGraph(2, ((0, 1, P),))
+    branching_purple = DirectedKnitGraph(3, ((0, 1, P), (0, 2, U)))
+    for g in (purple_chain, roleless_purple, branching_purple):
+        with pytest.raises(PurplePresentError):
+            decide_k_knittable(g, 1)
+        with pytest.raises(PurplePresentError):
+            _flow_decide_one(g, RedRule.STRICT)
+
+    # a cycle is reported before purple
+    cyclic_purple = DirectedKnitGraph(3, ((0, 1, P), (1, 2, U), (2, 0, U)))
+    with pytest.raises(NotADagError):
+        decide_k_knittable(cyclic_purple, 1)
+    with pytest.raises(NotADagError):
+        _flow_decide_one(cyclic_purple, RedRule.STRICT)
+    for answer in (minimum_path_cover, has_hamiltonian_path_dag):
+        with pytest.raises(NotADagError):
+            answer(cyclic_purple)
+
+    # a chain with roleless vertices: no thread and no error
+    for rule in RedRule:
+        with pytest.raises(InfeasibleVertexError):
+            vertex_roles(chain(3), rule)
+        assert decide_k_knittable(chain(3), 1, rule) is None
+        assert _flow_decide_one(chain(3), rule) is None

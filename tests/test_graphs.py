@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import heapq
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,27 @@ def test_topological_sort_cycle():
     assert sorted(cycle) == [0, 1, 2]
 
 
+def _kahn_with_lists(g):
+    """Kahn's algorithm over one successor list per vertex, the form
+    `topological_sort` had before it read slices of the sorted edges."""
+    indeg = [0] * g.n
+    adj = [[] for _ in range(g.n)]
+    for src, dst, _ in g.edges:
+        adj[src].append(dst)
+        indeg[dst] += 1
+    heap = [v for v in range(g.n) if indeg[v] == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        v = heapq.heappop(heap)
+        order.append(v)
+        for w in adj[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(heap, w)
+    return order
+
+
 def _find_cycle_sweep(g, candidates):
     """The fixed-point sweep that `_find_cycle` replaced, kept as the
     oracle: O(n) passes of O(n + m) each on a long tail."""
@@ -135,7 +158,7 @@ def _digraphs(draw):
 def test_find_cycle_matches_sweep_oracle(g):
     leftover = _unsorted(g)
     if not leftover:
-        assert len(topological_sort(g)) == g.n
+        assert topological_sort(g) == _kahn_with_lists(g)
         return
     with pytest.raises(CycleDetectedError) as exc:
         topological_sort(g)
@@ -152,6 +175,7 @@ def test_topological_sort_respects_arcs(rng):
         order = topological_sort(g)
         pos = {v: i for i, v in enumerate(order)}
         assert all(pos[s] < pos[d] for s, d, _ in g.edges)
+        assert order == _kahn_with_lists(g)
 
 
 def test_underlying_single_edge():
@@ -169,6 +193,105 @@ def test_underlying_kfb_arc_count():
 def test_underlying_empty():
     g = DirectedKnitGraph(0, ())
     assert underlying_knitting_graph(g).edges == ()
+
+
+def _reduce_by_frozensets(y, hamiltonian_order=None):
+    """`reduce_yarn_to_directed` as it was before its int keys and trusted
+    build: a frozenset and a direction dict per pair, walked in order of
+    first traversal, and the result validated again."""
+    pos = {v: i for i, v in enumerate(hamiltonian_order or ())}
+    first_index, counts = {}, {}
+    for i, (src, dst) in enumerate(y.arcs):
+        pair = frozenset((src, dst))
+        if pair not in counts:
+            counts[pair] = {}
+            first_index[pair] = i
+        counts[pair][(src, dst)] = counts[pair].get((src, dst), 0) + 1
+    edges = []
+    for pair, by_dir in sorted(counts.items(), key=lambda kv: first_index[kv[0]]):
+        total = sum(by_dir.values())
+        a, b = sorted(pair)
+        if total > 3:
+            raise MultiplicityTooHighError((a, b), total)
+        if total == 1:
+            (src, dst), _ = next(iter(by_dir.items()))
+            edges.append((src, dst, B))
+        elif total == 2:
+            if len(by_dir) != 2:
+                raise InconsistentPairError((a, b), "loop strands must run in opposite directions")
+            if pos:
+                src, dst = (a, b) if pos.get(a, a) < pos.get(b, b) else (b, a)
+            else:
+                src, dst = y.arcs[first_index[pair]]
+            edges.append((src, dst, R))
+        else:
+            majority = [d for d, c in by_dir.items() if c == 2]
+            if len(by_dir) != 2 or not majority:
+                raise InconsistentPairError(
+                    (a, b), "mixed edge needs a loop pair plus one sequential strand"
+                )
+            edges.append((*majority[0], P))
+    return DirectedKnitGraph(y.n, tuple(edges))
+
+
+@st.composite
+def _yarn_cases(draw):
+    """A yarn multigraph on n <= 6 vertices whose arcs repeat a few pairs
+    in either direction, so every multiplicity and split shows up, plus an
+    optional full or partial thread order."""
+    n = draw(st.integers(2, 6))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+        min_size=1, max_size=4,
+    ))
+    arcs = draw(st.lists(
+        st.tuples(st.sampled_from(pairs), st.booleans()).map(lambda c: c[0][::-1] if c[1] else c[0]),
+        max_size=14,
+    ))
+    order = draw(st.one_of(st.none(), st.permutations(range(n)).flatmap(
+        lambda perm: st.integers(0, n).map(lambda k: perm[:k]))))
+    return YarnGraph(n, tuple(arcs)), order
+
+
+@settings(max_examples=600, deadline=None)
+@given(_yarn_cases())
+def test_reduce_matches_frozenset_oracle(case):
+    y, order = case
+    expected = _outcome(lambda: _reduce_by_frozensets(y, order))
+    got = _outcome(lambda: reduce_yarn_to_directed(y, order))
+    assert got == expected
+
+
+def test_reduce_equals_a_validated_graph_on_fixtures():
+    from knitgraph import all_fixtures
+
+    pieces = list(all_fixtures()) + [gen_stockinette(30, 33, round=True)]
+    for f in pieces:
+        for order in (None, [v for t in f.cover for v in t]):
+            reduced = reduce_yarn_to_directed(f.yarn, order)
+            assert reduced == DirectedKnitGraph(reduced.n, reduced.edges[::-1]), f.name
+            assert reduced == _reduce_by_frozensets(f.yarn, order), f.name
+
+
+def test_trusted_builds_keep_the_canonical_edge_order():
+    # `_trusted` checks nothing, and `topological_sort` reads each vertex's
+    # out-arcs as one slice of the (src, dst) order, so both trusted builds,
+    # the reduced yarn graph and the witness, must come out sorted
+    from knitgraph import all_fixtures
+    from knitgraph.cover import _witness
+
+    def canonical(g):
+        return g.edges == tuple(sorted(g.edges))
+
+    pieces = list(all_fixtures()) + [gen_stockinette(30, 33, round=True), gen_stockinette(5, 6)]
+    for f in pieces:
+        for order in (None, [v for t in f.cover for v in t]):
+            assert canonical(reduce_yarn_to_directed(f.yarn, order)), f.name
+        assert canonical(_witness(f.graph, f.cover)), f.name
+    g = gen_stockinette(4, 5, round=True).graph
+    for k in (1, 2, 4):  # the chain check, then the flow
+        witness, _threads = decide_k_knittable(g, k)
+        assert canonical(witness)
 
 
 def test_reduce_single_strand():

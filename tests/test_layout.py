@@ -27,7 +27,8 @@ from knitgraph import (
     is_planar,
     underlying_knitting_graph,
 )
-from knitgraph.layout import CrossingGraph, _orient, _point
+from knitgraph import layout as layout_module
+from knitgraph.layout import CrossingGraph, _orient, _point, row_layers
 
 B, R, P, U = EdgeColor.BLUE, EdgeColor.RED, EdgeColor.PURPLE, EdgeColor.UNCOLORED
 
@@ -461,6 +462,51 @@ def test_count_rows_rejects_nonplanar():
     )
     with pytest.raises(NotPlanarLayoutError):
         count_rows(g, (tuple(range(5)),), None)
+
+
+def _count_rows_networkx(g, cover, layout=None):
+    """`count_rows` as it was before a drawing could prove planarity: the
+    networkx test on every call. The oracle of the drawing shortcut."""
+    thread = layout_module._thread_of(cover)
+    if not is_planar(underlying_knitting_graph(g)):
+        raise NotPlanarLayoutError()
+    if not thread:
+        return 0
+    if layout is not None:
+        return layout_module._count_rows_by_sides(g, thread, layout)
+    return row_layers(g, thread)[-1] + 1
+
+
+def _rows_outcome(count, g, cover, layout):
+    try:
+        return "ok", count(g, cover, layout)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), exc.args
+
+
+@settings(max_examples=600, deadline=None)
+@given(drawings(), st.data())
+def test_count_rows_matches_networkx_oracle_on_random_drawings(drawing, data):
+    # degenerate, crossing and non-planar drawings all fall back to networkx
+    g, layout = drawing
+    if isinstance(g, KnittingGraph):
+        g = DirectedKnitGraph(g.n, tuple((u, w, R) for u, w in g.edges))
+    cover = (tuple(data.draw(st.permutations(range(g.n)))),)
+    for drawn in (layout, None):
+        assert _rows_outcome(count_rows, g, cover, drawn) == _rows_outcome(
+            _count_rows_networkx, g, cover, drawn
+        )
+
+
+def test_count_rows_matches_networkx_oracle_on_fixtures():
+    from knitgraph import all_fixtures
+
+    pieces = list(all_fixtures()) + [gen_stockinette(6, 7), gen_brioche_maximal(8)]
+    for f in pieces:
+        for cover in (f.cover, (tuple(v for t in f.cover for v in t),)):
+            assert _rows_outcome(count_rows, f.graph, cover, f.layout) == _rows_outcome(
+                _count_rows_networkx, f.graph, cover, f.layout
+            ), f.name
 
 
 def test_simplicity_stockinette():
