@@ -39,6 +39,7 @@ from .graphs import (
 from .serialize import (
     GraphDocument,
     Layout,
+    MAX_VERTICES,
     export_dot,
     parse_document,
     serialize_json,
@@ -61,7 +62,6 @@ from .flows import (
     solve_minimum_flow,
 )
 from .cover import (
-    OracleWitness,
     ThreadCover,
     brute_force_knittable,
     brute_force_minimum_path_cover,

@@ -16,6 +16,7 @@ from .cover import (
     brute_force_knittable,
     decide_k_knittable,
     has_hamiltonian_path_dag,
+    is_thread_cover,
     minimum_path_cover,
     sweep_feasible_k,
 )
@@ -65,6 +66,8 @@ def _emit(args, data: dict, text: str) -> None:
 def _cover_from_doc(doc: GraphDocument):
     threads = doc.meta.get("threads")
     if threads is not None:
+        if not is_thread_cover(doc.graph, threads):
+            raise KnitError("meta.threads must split the vertices into paths along arcs")
         return tuple(tuple(t) for t in threads)
     paths, problems = thread_paths(doc.graph, {EdgeColor.BLUE, EdgeColor.PURPLE})
     if problems:
@@ -94,8 +97,15 @@ def _cmd_validate(args) -> int:
     return OK
 
 
-def _witness_doc(graph, cover, k) -> GraphDocument:
-    return GraphDocument(graph, None, {"k": k, "threads": [list(t) for t in cover]})
+def _emit_verdict(args, result) -> int:
+    """Print a k-thread verdict: the witness document, or the negative one."""
+    if result is None:
+        _emit(args, {"feasible": False, "k": args.k}, "infeasible")
+        return NEGATIVE
+    witness, cover = result
+    meta = {"k": args.k, "threads": [list(t) for t in cover]}
+    print(serialize_json(GraphDocument(witness, None, meta)).decode())
+    return OK
 
 
 def _cmd_decide(args) -> int:
@@ -105,14 +115,7 @@ def _cmd_decide(args) -> int:
         ks = sweep_feasible_k(doc.graph, rule)
         _emit(args, {"feasible_k": ks}, "feasible k: " + (" ".join(map(str, ks)) or "none"))
         return OK if ks else NEGATIVE
-    result = decide_k_knittable(doc.graph, args.k, rule)
-    if result is None:
-        _emit(args, {"feasible": False, "k": args.k}, "infeasible")
-        return NEGATIVE
-    witness, cover = result
-    payload = serialize_json(_witness_doc(witness, cover, args.k)).decode()
-    print(payload)
-    return OK
+    return _emit_verdict(args, decide_k_knittable(doc.graph, args.k, rule))
 
 
 def _cmd_cover(args) -> int:
@@ -126,13 +129,9 @@ def _cmd_cover(args) -> int:
 
 def _cmd_oracle(args) -> int:
     doc = _load_knit(args.file)
-    witness = brute_force_knittable(doc.graph, args.k, _rule(args), cap=args.cap)
-    if witness is None:
-        _emit(args, {"feasible": False, "k": args.k}, "infeasible")
-        return NEGATIVE
-    payload = serialize_json(_witness_doc(witness.graph, witness.cover, args.k)).decode()
-    print(payload)
-    return OK
+    return _emit_verdict(
+        args, brute_force_knittable(doc.graph, args.k, _rule(args), cap=args.cap)
+    )
 
 
 def _cmd_classify(args) -> int:
@@ -318,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cover", help="minimum path cover of a DAG")
     p.add_argument("file")
-    common(p)
+    common(p, rule=False)
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("oracle", help="exhaustive small-graph feasibility check")
@@ -335,12 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rows", help="count knit rows of a single-thread piece")
     p.add_argument("file")
-    common(p)
+    common(p, rule=False)
     p.set_defaults(func=_cmd_rows)
 
     p = sub.add_parser("cablewidth", help="cable width of the embedded drawing")
     p.add_argument("file")
-    common(p)
+    common(p, rule=False)
     p.set_defaults(func=_cmd_cablewidth)
 
     p = sub.add_parser("yarn", help="yarn multigraph analysis")
@@ -352,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     yc.set_defaults(func=_cmd_yarn)
     ym = ysub.add_parser("min-k", help="minimum yarn count and trails")
     ym.add_argument("file")
-    common(ym)
+    common(ym, rule=False)
     ym.set_defaults(func=_cmd_yarn)
 
     p = sub.add_parser("gen", help="generate a reference pattern file")

@@ -16,8 +16,6 @@ minimum path cover, goes through the flow network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     CycleDetectedError,
     InfeasibleVertexError,
@@ -25,7 +23,7 @@ from .errors import (
     PurplePresentError,
     TooLargeError,
 )
-from .feasibility import RedRule, Role, check_coloring, classify_vertex
+from .feasibility import RedRule, Role, check_coloring, classify_vertex, thread_paths
 from .flows import (
     FlowNetwork,
     solve_flow_range,
@@ -179,6 +177,17 @@ def _witness(g: DirectedKnitGraph, cover: ThreadCover) -> DirectedKnitGraph:
     )
 
 
+def is_thread_cover(g: DirectedKnitGraph, cover) -> bool:
+    """Whether the threads split g's vertices into directed paths along arcs.
+
+    The blue arcs of the witness `cover` induces are exactly its steps
+    that are arcs of g, so the cover is valid just when reading those
+    arcs back as threads gives the cover itself.
+    """
+    paths, _problems = thread_paths(_witness(g, cover), {EdgeColor.BLUE})
+    return paths == tuple(sorted(map(tuple, cover)))
+
+
 def decide_k_knittable(
     g: DirectedKnitGraph, k: int, rule: RedRule = RedRule.STRICT
 ) -> tuple[DirectedKnitGraph, ThreadCover] | None:
@@ -224,10 +233,8 @@ def _one_thread(
     return _witness(g, cover), cover
 
 
-def sweep_feasible_k(
-    g: DirectedKnitGraph, rule: RedRule = RedRule.STRICT, k_max: int | None = None
-) -> list[int]:
-    """All thread counts in 1..k_max (default n) for which g is feasible.
+def sweep_feasible_k(g: DirectedKnitGraph, rule: RedRule = RedRule.STRICT) -> list[int]:
+    """All thread counts in 1..n for which g is feasible.
 
     The exact-k network is the relaxed network (super arcs bounded by
     [0, n]) with its throughput pinned to k. The feasible throughputs of a
@@ -237,8 +244,7 @@ def sweep_feasible_k(
     on the relaxed network find it, instead of one decision per k. Raises
     NotADagError and PurplePresentError as `decide_k_knittable` does.
     """
-    top = g.n if k_max is None else k_max
-    if top < 1:  # no k to try, so nothing is checked, as with one decision per k
+    if g.n == 0:  # no k to try, so nothing is checked, as with one decision per k
         return []
     _require_dag(g)
     try:
@@ -249,7 +255,7 @@ def sweep_feasible_k(
     if bounds is None:
         return []
     least, greatest = bounds
-    return list(range(max(least, 1), min(greatest, top) + 1))
+    return list(range(max(least, 1), greatest + 1))
 
 
 def minimum_path_cover(g: DirectedKnitGraph) -> tuple[int, ThreadCover]:
@@ -269,14 +275,6 @@ def minimum_path_cover(g: DirectedKnitGraph) -> tuple[int, ThreadCover]:
         raise AssertionError("path cover network must be feasible")
     value, flows = solved
     return value, extract_threads(net, flows)
-
-
-@dataclass(frozen=True)
-class OracleWitness:
-    """Result of the exhaustive search: an oriented, colored graph plus cover."""
-
-    graph: DirectedKnitGraph
-    cover: ThreadCover
 
 
 def _iter_path_systems(n: int, adj: list[list[int]], k: int):
@@ -322,14 +320,15 @@ def brute_force_knittable(
     k: int,
     rule: RedRule = RedRule.STRICT,
     cap: int = 10,
-) -> OracleWitness | None:
+) -> tuple[DirectedKnitGraph, ThreadCover] | None:
     """Exhaustive k-thread search; the independent oracle for the flow path.
 
-    Directed inputs keep their arc directions; undirected inputs are
-    oriented per candidate cover (thread arcs along the path, loop arcs from
-    lower to higher position in the concatenated thread order). The first
-    cover whose induced coloring verifies is returned; None is a proof of
-    infeasibility at this size.
+    Returns the witness and its cover, as `decide_k_knittable` does, for
+    the first cover whose induced coloring verifies; None is a proof of
+    infeasibility at this size. Directed inputs keep their arc directions;
+    undirected inputs are oriented per candidate cover, every edge from
+    lower to higher position in the joined thread order, so thread edges
+    run along their threads.
     """
     if g.n > cap:
         raise TooLargeError(g.n, cap)
@@ -347,29 +346,19 @@ def brute_force_knittable(
         adj = [sorted(neighbors) for neighbors in g.adj()]
 
     for system in _iter_path_systems(g.n, adj, k):
-        if directed:
-            colored = _witness(g, system)
-        else:
-            position = {}
-            idx = 0
-            for thread in system:
-                for v in thread:
-                    position[v] = idx
-                    idx += 1
-            blue_pairs = {pair for t in system for pair in zip(t, t[1:])}
-            edges = []
-            for u, v in g.edges:
-                if (u, v) in blue_pairs:
-                    edges.append((u, v, EdgeColor.BLUE))
-                elif (v, u) in blue_pairs:
-                    edges.append((v, u, EdgeColor.BLUE))
-                elif position[u] < position[v]:
-                    edges.append((u, v, EdgeColor.RED))
-                else:
-                    edges.append((v, u, EdgeColor.RED))
-            colored = DirectedKnitGraph(g.n, tuple(edges))
+        oriented = g
+        if not directed:
+            position = [0] * g.n
+            for i, v in enumerate(v for thread in system for v in thread):
+                position[v] = i
+            oriented = DirectedKnitGraph(g.n, tuple(
+                (u, v, EdgeColor.UNCOLORED) if position[u] < position[v]
+                else (v, u, EdgeColor.UNCOLORED)
+                for u, v in g.edges
+            ))
+        colored = _witness(oriented, system)
         if check_coloring(colored, k, rule).valid:
-            return OracleWitness(colored, system)
+            return colored, system
     return None
 
 

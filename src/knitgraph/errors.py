@@ -65,14 +65,12 @@ class InconsistentPairError(KnitError):
 
 
 class PurplePresentError(KnitError):
-    def __init__(self, edge: tuple[int, int] | None = None):
-        self.edge = edge
+    def __init__(self):
         super().__init__("purple edges are not supported by this operation")
 
 
 class UncoloredPresentError(KnitError):
-    def __init__(self, edge: tuple[int, int] | None = None):
-        self.edge = edge
+    def __init__(self):
         super().__init__("graph must be fully colored")
 
 

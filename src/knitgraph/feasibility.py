@@ -84,9 +84,12 @@ class ColoringReport:
 
     valid: bool
     k: int
-    path_count: int
     threads: tuple[tuple[int, ...], ...]
     problems: list[str] = field(default_factory=list)
+
+    @property
+    def path_count(self) -> int:
+        return len(self.threads)
 
 
 def thread_paths(
@@ -155,7 +158,7 @@ def check_coloring(
     thread_colors = {EdgeColor.BLUE, EdgeColor.PURPLE} if allow_purple else {EdgeColor.BLUE}
     paths, problems = thread_paths(g, thread_colors)
     if problems:
-        return ColoringReport(False, k, 0, (), problems)
+        return ColoringReport(False, k, (), problems)
 
     red_in = [0] * g.n
     red_out = [0] * g.n
@@ -192,4 +195,4 @@ def check_coloring(
                 problems.append(f"thread start {v} is never passed through")
             if pos == len(path) - 1 and cfg[0] < 1:
                 problems.append(f"thread end {v} passes through nothing")
-    return ColoringReport(not problems, k, len(paths), paths, problems)
+    return ColoringReport(not problems, k, paths, problems)

@@ -19,7 +19,7 @@ from .errors import BadDimsError, NotSingleThreadError
 from .graphs import DirectedKnitGraph, EdgeColor, YarnGraph
 from .feasibility import RedRule
 from .layout import ComplexityClass, row_layers
-from .serialize import Layout
+from .serialize import MAX_VERTICES, Layout
 from .yarn import yarn_from_threads
 
 BLUE = EdgeColor.BLUE
@@ -59,7 +59,7 @@ def gen_stockinette(rows: int, cols: int, round: bool = False) -> Fixture:
     wraps from the last column to the first column of the next row and
     every loop is red.
     """
-    if rows < 1 or cols < 2:
+    if rows < 1 or cols < 2 or rows * cols > MAX_VERTICES:
         raise BadDimsError(f"rows={rows}, cols={cols}")
     n = rows * cols
     edges: list[tuple[int, int, EdgeColor]] = []
@@ -166,8 +166,9 @@ def gen_brioche_maximal(cols: int) -> Fixture:
     degenerate the drawing. Four threads: the two full rows and the split
     top row.
     """
-    if cols < 4 or cols % 2:
-        raise BadDimsError(f"cols={cols} must be even and at least 4")
+    if cols < 4 or cols % 2 or 3 * cols > MAX_VERTICES:
+        raise BadDimsError(f"cols={cols} must be even, at least 4 and at most "
+                           f"{MAX_VERTICES // 3}")
     n = 3 * cols
     half = cols // 2
 

@@ -9,8 +9,9 @@ Schema (UTF-8 JSON):
               "labels": {..}?, ...}}             # optional, open
 
 A multigraph document parses to a YarnGraph (colors must be null); anything
-else parses to a DirectedKnitGraph. meta.k, when set, is a non-negative int
-and meta.threads a list of lists of vertex ids in [0, n); null means unset.
+else parses to a DirectedKnitGraph. n is at most MAX_VERTICES. meta.k, when
+set, is a non-negative int, meta.threads a list of lists of vertex ids in
+[0, n) and meta.multi_orientation a bool; null means unset.
 External vertex labels, when present in meta.labels, are preserved verbatim
 in the parsed document.
 """
@@ -25,6 +26,10 @@ from .errors import SchemaError
 from .graphs import DirectedKnitGraph, EdgeColor, KnittingGraph, YarnGraph
 
 Layout = dict[int, tuple[int, Fraction]]
+
+# Ten times the largest benchmarked piece; checked before any O(n) list
+# is built, so a document cannot ask for an arbitrarily large allocation.
+MAX_VERTICES = 1_000_000
 
 _COLOR_FROM_JSON = {
     "blue": EdgeColor.BLUE,
@@ -75,6 +80,9 @@ def _check_meta(meta: dict, n: int) -> None:
     k = meta.get("k")
     if k is not None and (type(k) is not int or k < 0):
         raise SchemaError(f"meta: 'k' must be a non-negative int, found {k!r}")
+    multi = meta.get("multi_orientation")
+    if multi is not None and type(multi) is not bool:
+        raise SchemaError(f"meta: 'multi_orientation' must be a bool, found {multi!r}")
     threads = meta.get("threads")
     if threads is None:
         return
@@ -99,8 +107,8 @@ def parse_document(data: bytes | str) -> GraphDocument:
         raise SchemaError("top level: expected an object")
 
     n = _require(raw, "n", int, "top level")
-    if n < 0:
-        raise SchemaError("top level: n must be non-negative")
+    if not 0 <= n <= MAX_VERTICES:
+        raise SchemaError(f"top level: n must be in [0, {MAX_VERTICES}], found {n}")
     if not _require(raw, "directed", bool, "top level"):
         raise SchemaError("top level: 'directed' must be true")
     multigraph = raw.get("multigraph", False)

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
-from knitgraph import cli
+from knitgraph import cli, gen_stockinette, serialize_json
 from knitgraph.cli import build_parser, main
 
 
@@ -283,6 +284,7 @@ def test_unexpected_exception_is_status_2(round33, capsys, monkeypatch):
 
 _CHAIN = [{"src": 0, "dst": 1, "color": "blue"}, {"src": 1, "dst": 2, "color": "blue"}]
 _LAYOUT = {"0": [0, 0], "1": [0, 1], "2": [0, 2]}
+_ROUND33 = json.loads(serialize_json(gen_stockinette(3, 3, round=True).graph))
 
 
 @pytest.mark.parametrize(
@@ -297,12 +299,25 @@ _LAYOUT = {"0": [0, 0], "1": [0, 1], "2": [0, 2]}
         (["rows", "--json"], {"edges": _CHAIN, "layout": _LAYOUT, "meta": {"threads": 5}}),
         (["rows", "--json"], {"edges": _CHAIN, "layout": _LAYOUT,
                               "meta": {"threads": [[0, "a"]]}}),
+        (["rows", "--json"], {**_ROUND33, "meta": {"threads": [[0, 0, 1]]}}),
+        (["rows", "--json"], {**_ROUND33, "meta": {"threads": [[0, 1, 2]]}}),
+        (["rows", "--json"], {"edges": _CHAIN, "meta": {"threads": [[0, 1], [1, 2]]}}),
+        (["rows", "--json"], {"edges": _CHAIN, "meta": {"threads": [[0, 2, 1]]}}),
+        (["rows", "--json"], {"edges": _CHAIN, "meta": {"threads": [[2, 1, 0]]}}),
+        (["rows", "--json"], {"edges": _CHAIN, "meta": {"threads": [[0, 1, 2], []]}}),
+        (["classify", "--json"], {"edges": _CHAIN, "layout": _LAYOUT,
+                                  "meta": {"multi_orientation": "false"}}),
+        (["classify", "--json"], {"edges": _CHAIN, "meta": {"multi_orientation": 1}}),
+        (["classify", "--json"], {"edges": _CHAIN, "meta": {"multi_orientation": "yes"}}),
         (["decide", "--json"], {"directed": False, "edges": _CHAIN}),
         (["yarn", "min-k"], {"directed": False, "multigraph": True,
                              "edges": [{"src": 0, "dst": 1}]}),
     ],
     ids=["color-list", "color-dict", "k-str", "k-bool", "yarn-k-str", "threads-int",
-         "threads-str-id", "undirected", "undirected-yarn"],
+         "threads-str-id", "threads-repeat-vertex", "threads-miss-vertices",
+         "threads-share-vertex", "threads-step-off-arcs", "threads-step-against-arcs",
+         "threads-empty-thread", "multi-orientation-str", "multi-orientation-int",
+         "multi-orientation-yes", "undirected", "undirected-yarn"],
 )
 def test_bad_meta_and_colors_are_schema_errors(tmp_path, capsys, argv, doc):
     path = tmp_path / "bad.json"
@@ -327,3 +342,76 @@ def test_negative_k_is_a_usage_error(round33, tmp_path, capsys, command):
     code, out, _ = run(capsys, *command, "--k", "0", "--json", str(path))
     assert code == 1
     assert json.loads(out)
+
+
+@pytest.mark.parametrize("command", [["cover"], ["rows"], ["cablewidth"], ["yarn", "min-k"]],
+                         ids=["cover", "rows", "cablewidth", "yarn-min-k"])
+def test_rule_is_refused_where_no_rule_applies(tmp_path, capsys, command):
+    path = tmp_path / "c1b.json"
+    assert run(capsys, "gen", "--pattern", "c1b", "-o", str(path))[0] == 0
+    code, out, err = run(capsys, *command, "--rule", "strict", str(path))
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --rule" in err
+
+
+class _ReadLog(argparse.Namespace):
+    """A namespace that records every attribute read once `_reads` is set."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("_reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def _leaf_parsers(parser, words=()):
+    """(command words, parser) of every subcommand that takes no further one."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, (*words, name))
+            return
+    yield words, parser
+
+
+def test_every_option_is_read(round33, tmp_path, capsys):
+    c1b, yarn, out = tmp_path / "c1b.json", _yarn_doc(tmp_path), str(tmp_path / "out.json")
+    assert run(capsys, "gen", "--pattern", "c1b", "-o", str(c1b))[0] == 0
+    piece = str(round33)
+    patterns = ["stockinette", "yo", "kfb", "k2tog", "c1b", "brioche"]
+    # each subcommand on valid input, in every mode one of its flags selects
+    modes = {
+        ("validate",): [[piece]],
+        ("decide",): [["--k", "1", piece], ["--sweep", piece]],
+        ("cover",): [[piece]],
+        ("oracle",): [["--k", "1", piece], ["--k", "0", piece]],
+        ("classify",): [[piece]],
+        ("rows",): [[piece]],
+        ("cablewidth",): [[str(c1b)]],
+        ("yarn", "check"): [["--k", "1", str(yarn)]],
+        ("yarn", "min-k"): [[str(yarn)]],
+        ("gen",): [["--pattern", p, "--cols", "4", "-o", out] for p in patterns],
+        ("convert",): [["--to", "dot", piece], ["--to", "json", piece]],
+        ("table",): [[]],
+        ("planar",): [[piece]],
+        ("hamiltonian",): [[piece]],
+    }
+    parser = build_parser()
+    leaves = dict(_leaf_parsers(parser))
+    assert set(leaves) == set(modes)
+    unread = {}
+    for words, argvs in modes.items():
+        reads = set()
+        for argv in argvs:
+            args = parser.parse_args([*words, *argv], namespace=_ReadLog())
+            object.__setattr__(args, "_reads", reads)
+            assert args.func(args) in (0, 1), (words, argv)
+        options = {a.dest for a in leaves[words]._actions
+                   if not isinstance(a, argparse._HelpAction)}
+        if words in (("gen",), ("convert",)):
+            options.discard("json")  # the README promises --json on every command
+        if options - reads:
+            unread[" ".join(words)] = sorted(options - reads)
+    capsys.readouterr()
+    assert unread == {}

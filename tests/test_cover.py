@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -206,9 +208,11 @@ def test_minimum_path_cover_is_valid_partition(rng):
 
 def test_oracle_undirected_round_stockinette():
     ukg = underlying_knitting_graph(gen_stockinette(3, 3, round=True).graph)
-    witness = brute_force_knittable(ukg, 1)
-    assert witness is not None
-    assert check_coloring(witness.graph, 1).valid
+    result = brute_force_knittable(ukg, 1)
+    assert result is not None
+    witness, cover = result
+    assert check_coloring(witness, 1).valid
+    assert check_coloring(witness, 1).threads == cover
 
 
 def test_oracle_undirected_triangle_infeasible():
@@ -224,17 +228,62 @@ def test_oracle_cap():
 def test_oracle_red_direction_follows_thread_order():
     # path 0-1-2-3 plus the two loop chords of a 2x2 round piece
     g = KnittingGraph(4, ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3)))
-    witness = brute_force_knittable(g, 1)
-    assert witness is not None
+    result = brute_force_knittable(g, 1)
+    assert result is not None
+    witness, cover = result
     pos = {}
     idx = 0
-    for t in witness.cover:
+    for t in cover:
         for v in t:
             pos[v] = idx
             idx += 1
-    for s, d, color in witness.graph.edges:
+    for s, d, color in witness.edges:
         if color is R:
             assert pos[s] < pos[d]
+
+
+def _four_way_coloring(g: KnittingGraph, system) -> DirectedKnitGraph:
+    """Reference coloring for the undirected oracle, written without
+    `_witness`: each thread pair blue along its thread, every other edge
+    red from lower to higher position in the joined thread order."""
+    position = {}
+    idx = 0
+    for thread in system:
+        for v in thread:
+            position[v] = idx
+            idx += 1
+    blue_pairs = {pair for t in system for pair in zip(t, t[1:])}
+    edges = []
+    for u, v in g.edges:
+        if (u, v) in blue_pairs:
+            edges.append((u, v, B))
+        elif (v, u) in blue_pairs:
+            edges.append((v, u, B))
+        elif position[u] < position[v]:
+            edges.append((u, v, R))
+        else:
+            edges.append((v, u, R))
+    return DirectedKnitGraph(g.n, tuple(edges))
+
+
+def _four_way_oracle(g: KnittingGraph, k, rule):
+    adj = [sorted(neighbors) for neighbors in g.adj()]
+    for system in cover_module._iter_path_systems(g.n, adj, k):
+        colored = _four_way_coloring(g, system)
+        if check_coloring(colored, k, rule).valid:
+            return colored, system
+    return None
+
+
+def test_undirected_oracle_matches_the_four_way_coloring():
+    # every labelled simple graph on up to 5 vertices
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = KnittingGraph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
+            for k in range(4):
+                for rule in RedRule:
+                    assert brute_force_knittable(g, k, rule) == _four_way_oracle(g, k, rule)
 
 
 def test_sweep_matches_oracle():
@@ -481,13 +530,10 @@ def test_flow_range_infeasible_and_pinned():
     assert solve_flow_range(exact) == (1, 1)
 
 
-def test_sweep_k_max_and_empty_graph():
+def test_sweep_on_a_round_and_the_empty_graph():
     g = gen_stockinette(3, 3, round=True).graph
     full = sweep_feasible_k(g)
     assert full == _sweep_per_k(g) and 1 in full
-    assert sweep_feasible_k(g, k_max=0) == []
-    assert sweep_feasible_k(g, k_max=g.n + 5) == full
-    assert sweep_feasible_k(g, k_max=1) == [1]
     assert sweep_feasible_k(DirectedKnitGraph(0, ())) == []
     assert sweep_feasible_k(chain(3)) == []  # vertex 0 has no role
 

@@ -414,7 +414,7 @@ def _witnesses():
     round23 = gen_stockinette(2, 3, round=True).graph
     for k in (1, 2):
         yield round23, decide_k_knittable(round23, k)[0]
-        yield round23, brute_force_knittable(round23, k).graph
+        yield round23, brute_force_knittable(round23, k)[0]
 
 
 def test_recolored_equals_a_validated_graph():

@@ -8,6 +8,7 @@ from knitgraph import (
     DirectedKnitGraph,
     EdgeColor,
     Fixture,
+    MAX_VERTICES,
     NotSingleThreadError,
     RedRule,
     all_fixtures,
@@ -62,6 +63,16 @@ def test_bad_dims():
         gen_brioche_maximal(3)
     with pytest.raises(BadDimsError):
         gen_brioche_maximal(5)
+
+
+def test_dims_above_the_vertex_cap():
+    # every piece `gen` writes can be read back; refused before building
+    assert 101 * 9901 == MAX_VERTICES + 1
+    for round in (False, True):
+        with pytest.raises(BadDimsError, match="rows=101, cols=9901"):
+            gen_stockinette(101, 9901, round)
+    with pytest.raises(BadDimsError, match="at most 333333"):
+        gen_brioche_maximal(333_334)  # n = 1,000,002, the least even width above
 
 
 def test_kfb_fixture_shape():

@@ -8,6 +8,7 @@ from knitgraph import (
     DirectedKnitGraph,
     EdgeColor,
     GraphDocument,
+    MAX_VERTICES,
     SchemaError,
     YarnGraph,
     all_fixtures,
@@ -198,7 +199,19 @@ def test_meta_threads_must_be_lists_of_vertex_ids(threads, message):
 
 
 def test_meta_k_and_threads_accepted():
-    for meta in ({"k": 0, "threads": [[0, 1], [2], []]}, {"k": None, "threads": None}, {"k": 7}):
+    for meta in ({"k": 0, "threads": [[0, 1], [2], []]}, {"k": None, "threads": None}, {"k": 7},
+                 {"multi_orientation": True}, {"multi_orientation": False},
+                 {"multi_orientation": None}):
         assert parse_document(_doc([], meta)).meta == meta
     yarn = parse_document(_doc([{"src": 0, "dst": 1}], {"k": 2}, multigraph=True))
     assert yarn.graph.yarn_count_hint == 2
+
+
+@pytest.mark.parametrize("multigraph", [False, True])
+def test_n_outside_zero_to_the_cap_is_schema_error(multigraph):
+    # only cap + 1: the check comes before any O(n) list is built
+    for n in (-1, MAX_VERTICES + 1):
+        message = rf"^top level: n must be in \[0, 1000000\], found {n}$"
+        with pytest.raises(SchemaError, match=message):
+            parse_document(_doc([], n=n, multigraph=multigraph))
+
