@@ -9,6 +9,7 @@ on stderr, no traceback). Results go to stdout, diagnostics to stderr;
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -85,14 +86,19 @@ def _cmd_validate(args) -> int:
     k = doc.meta.get("k")
     if EdgeColor.UNCOLORED not in colors and k is not None:
         report = check_coloring(graph, k, _rule(args), allow_purple=True)
+        problems = report.problems
+        threads = doc.meta.get("threads")
+        if threads is not None and sorted(map(tuple, threads)) != sorted(report.threads):
+            problems = [*problems, "meta.threads does not match the thread arcs"]
+        valid = not problems
         payload = {
-            "valid": report.valid,
+            "valid": valid,
             "threads": report.path_count,
-            "problems": report.problems,
+            "problems": problems,
         }
-        _emit(args, payload, "valid witness" if report.valid else
-              "invalid witness:\n  " + "\n  ".join(report.problems))
-        return OK if report.valid else NEGATIVE
+        _emit(args, payload, "valid witness" if valid else
+              "invalid witness:\n  " + "\n  ".join(problems))
+        return OK if valid else NEGATIVE
     _emit(args, {"valid": True, "kind": "graph"}, "valid graph")
     return OK
 
@@ -277,7 +283,7 @@ def _cmd_hamiltonian(args) -> int:
 
 
 def _non_negative_int(text: str) -> int:
-    """Type of every --k flag: a non-negative int, as for meta.k."""
+    """Type of every --k flag and of --cap: a non-negative int, as for meta.k."""
     try:
         value = int(text)
     except ValueError:
@@ -323,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive small-graph feasibility check")
     p.add_argument("file")
     p.add_argument("--k", type=_non_negative_int, default=1)
-    p.add_argument("--cap", type=int, default=10, help="vertex cap (default 10)")
+    p.add_argument("--cap", type=_non_negative_int, default=10, help="vertex cap (default 10)")
     common(p)
     p.set_defaults(func=_cmd_oracle)
 
@@ -400,6 +406,12 @@ def main(argv: list[str] | None = None) -> int:
     The parser is built on the first call and reused after it. Any
     exception other than the expected input errors also exits 2 with one
     line on stderr, so status 1 only ever means a negative verdict.
+
+    The command runs with the cyclic garbage collector paused, and the
+    caller's setting is restored on every exit. A command allocates one
+    container per edge (JSON dicts, edge tuples), all acyclic and freed by
+    reference counting, so on a large piece the collector would run
+    full-heap passes that find nothing.
     """
     global _parser
     if _parser is None:
@@ -408,12 +420,17 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser.parse_args(argv)
     except SystemExit as exc:
         return ERROR if exc.code else OK
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (KnitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    finally:
+        if was_enabled:
+            gc.enable()
     return ERROR
 
 

@@ -237,23 +237,36 @@ def topological_sort(g: DirectedKnitGraph) -> list[int]:
 
 def _find_cycle(g: DirectedKnitGraph, candidates: set[int]) -> list[int]:
     # Trim the vertices with no successor left in the live set, by a queue
-    # over reverse adjacency with live out-degree counters, O(n + m). Every
+    # over predecessors with live out-degree counters, O(n + m). Every
     # vertex that remains has a live successor, so walking from the
     # smallest one to its smallest live successor must repeat a vertex.
-    live = [False] * g.n
+    # Successors are slices of the sorted edges, as in topological_sort,
+    # and predecessors one flat array counting-sorted by head: no list is
+    # built per vertex.
+    n = g.n
+    live = [False] * n
     for v in candidates:
         live[v] = True
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    preds: list[list[int]] = [[] for _ in range(g.n)]
+    start = [0] * (n + 1)  # out-arcs of v: edges[start[v]:start[v + 1]]
+    out = [0] * n  # live out-arcs of a live vertex
+    first = [0] * (n + 1)  # live in-arcs of v: tails[first[v]:first[v + 1]]
+    for src, dst, _ in g.edges:
+        start[src + 1] += 1
+        if live[src] and live[dst]:
+            out[src] += 1
+            first[dst + 1] += 1
+    start = list(accumulate(start))
+    first = list(accumulate(first))
+    tails = [0] * first[n]
+    fill = first[:n]
     for src, dst, _ in g.edges:
         if live[src] and live[dst]:
-            adj[src].append(dst)
-            preds[dst].append(src)
-    out = [len(succ) for succ in adj]
+            tails[fill[dst]] = src
+            fill[dst] += 1
     dead = [v for v in candidates if not out[v]]
     for v in dead:  # the list grows while it is read
         live[v] = False
-        for u in preds[v]:
+        for u in tails[first[v]:first[v + 1]]:
             out[u] -= 1
             if not out[u]:
                 dead.append(u)
@@ -263,7 +276,7 @@ def _find_cycle(g: DirectedKnitGraph, candidates: set[int]) -> list[int]:
     while v not in pos:
         pos[v] = len(path)
         path.append(v)
-        v = min(w for w in adj[v] if live[w])
+        v = next(w for _, w, _ in g.edges[start[v]:start[v + 1]] if live[w])  # heads ascend
     return path[pos[v]:]
 
 

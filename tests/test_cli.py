@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 
 import pytest
@@ -230,6 +231,33 @@ def test_validate_rejects_bad_witness(tmp_path, capsys):
     assert code == 1
 
 
+def _witness_with_threads(round33, tmp_path, capsys, k, edit):
+    """The `decide --k k` witness of round 3x3 with `edit` applied to its meta.threads."""
+    code, out, _ = run(capsys, "decide", "--k", str(k), str(round33))
+    assert code == 0
+    doc = json.loads(out)
+    doc["meta"]["threads"] = edit(doc["meta"]["threads"])
+    path = tmp_path / f"witness{k}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_validate_checks_meta_threads_against_the_thread_arcs(round33, tmp_path, capsys):
+    path = _witness_with_threads(round33, tmp_path, capsys, 1, lambda _: [[0, 0, 1]])
+    code, out, err = run(capsys, "validate", "--json", str(path))
+    assert code == 1
+    assert json.loads(out) == {
+        "valid": False, "threads": 1,
+        "problems": ["meta.threads does not match the thread arcs"],
+    }
+    assert err == ""
+    # the order of the threads is not part of the witness
+    path = _witness_with_threads(round33, tmp_path, capsys, 2, lambda t: t[::-1])
+    code, out, _ = run(capsys, "validate", "--json", str(path))
+    assert code == 0
+    assert json.loads(out) == {"valid": True, "threads": 2, "problems": []}
+
+
 def test_planar_and_hamiltonian(round33, capsys):
     code, _, _ = run(capsys, "planar", str(round33))
     assert code == 0
@@ -344,6 +372,19 @@ def test_negative_k_is_a_usage_error(round33, tmp_path, capsys, command):
     assert json.loads(out)
 
 
+def test_negative_cap_is_a_usage_error(round33, capsys):
+    for bad in ("-1", "x"):
+        code, out, err = run(capsys, "oracle", "--cap", bad, str(round33))
+        assert code == 2
+        assert out == ""
+        assert err.count("error:") == 1
+        assert f"argument --cap: expected a non-negative int, found '{bad}'" in err
+    # a cap below n is still answered, by the oracle's own refusal
+    code, out, err = run(capsys, "oracle", "--cap", "0", str(round33))
+    assert code == 2
+    assert err == "error: graph has 9 vertices; brute force is capped at 0\n"
+
+
 @pytest.mark.parametrize("command", [["cover"], ["rows"], ["cablewidth"], ["yarn", "min-k"]],
                          ids=["cover", "rows", "cablewidth", "yarn-min-k"])
 def test_rule_is_refused_where_no_rule_applies(tmp_path, capsys, command):
@@ -415,3 +456,68 @@ def test_every_option_is_read(round33, tmp_path, capsys):
             unread[" ".join(words)] = sorted(options - reads)
     capsys.readouterr()
     assert unread == {}
+
+
+@pytest.fixture
+def collector():
+    """Leave the cyclic collector enabled after the test, whatever it did."""
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize(
+    "argv, raises, expected",
+    [
+        (["cover", "--json", "PIECE"], None, 0),
+        (["decide", "--k", "4", "--json", "PIECE"], None, 1),
+        (["decide", "--k", "1", "/nonexistent/missing.json"], None, 2),
+        (["cover", "--json", "PIECE"], RuntimeError("solver blew up"), 2),
+        (["cover", "--json", "PIECE"], KeyboardInterrupt(), KeyboardInterrupt),
+        (["cover", "--frobnicate", "PIECE"], None, 2),
+    ],
+    ids=["ok", "negative", "error", "stray-exception", "interrupt", "usage"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_collector_setting_is_restored(round33, capsys, monkeypatch, collector,
+                                       argv, raises, expected, enabled):
+    seen = []  # the collector's state inside the command
+    if raises is not None:
+        def broken(_graph):
+            seen.append(gc.isenabled())
+            raise raises
+
+        monkeypatch.setattr(cli, "minimum_path_cover", broken)
+    argv = [str(round33) if word == "PIECE" else word for word in argv]
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    if expected is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == expected
+    capsys.readouterr()
+    assert gc.isenabled() is enabled
+    assert seen == ([] if raises is None else [False])
+
+
+def test_no_collection_runs_during_a_command(tmp_path, capsys, collector):
+    path = tmp_path / "round20.json"
+    assert run(capsys, "gen", "--pattern", "stockinette", "--rows", "20", "--cols", "20",
+               "--round", "-o", str(path))[0] == 0
+    gc.enable()
+    gc.collect()
+    collections = []
+
+    def probe(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.callbacks.append(probe)
+    try:
+        code = main(["decide", "--k", "1", "--json", str(path)])
+    finally:
+        gc.callbacks.remove(probe)
+    assert code == 0 and json.loads(capsys.readouterr().out)["meta"]["k"] == 1
+    assert collections == []
