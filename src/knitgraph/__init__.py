@@ -7,7 +7,6 @@ classify knitting complexity, and generate reference stitch patterns.
 from .errors import (
     BadDimsError,
     BlueCrossingError,
-    CycleDetectedError,
     DegenerateLayoutError,
     DuplicateEdgeError,
     InconsistentPairError,

@@ -30,7 +30,7 @@ from .feasibility import (
     thread_paths,
 )
 from .graphs import DirectedKnitGraph, EdgeColor, YarnGraph, underlying_knitting_graph
-from .layout import cable_width, classify_complexity, count_rows, is_planar
+from .layout import cable_width, classify_complexity, count_rows, is_planar_with_layout
 from .patterns import (
     gen_brioche_maximal,
     gen_stitch_fixture,
@@ -42,6 +42,8 @@ from .yarn import is_yarn_graph_of_k_knittable, minimum_yarns
 OK = 0
 NEGATIVE = 1
 ERROR = 2
+
+NOT_A_COVER = "meta.threads must split the vertices into paths along arcs"
 
 
 def _rule(args) -> RedRule:
@@ -68,9 +70,9 @@ def _cover_from_doc(doc: GraphDocument):
     threads = doc.meta.get("threads")
     if threads is not None:
         if not is_thread_cover(doc.graph, threads):
-            raise KnitError("meta.threads must split the vertices into paths along arcs")
+            raise KnitError(NOT_A_COVER)
         return tuple(tuple(t) for t in threads)
-    paths, problems = thread_paths(doc.graph, {EdgeColor.BLUE, EdgeColor.PURPLE})
+    paths, problems = thread_paths(doc.graph)
     if problems:
         raise KnitError("; ".join(problems))
     return paths
@@ -82,12 +84,11 @@ def _cmd_validate(args) -> int:
     if isinstance(graph, YarnGraph):
         _emit(args, {"valid": True, "kind": "yarn"}, "valid yarn graph")
         return OK
-    colors = graph.colors()
     k = doc.meta.get("k")
-    if EdgeColor.UNCOLORED not in colors and k is not None:
-        report = check_coloring(graph, k, _rule(args), allow_purple=True)
+    threads = doc.meta.get("threads")
+    if EdgeColor.UNCOLORED not in graph.colors() and k is not None:
+        report = check_coloring(graph, k, _rule(args))
         problems = report.problems
-        threads = doc.meta.get("threads")
         if threads is not None and sorted(map(tuple, threads)) != sorted(report.threads):
             problems = [*problems, "meta.threads does not match the thread arcs"]
         valid = not problems
@@ -99,6 +100,10 @@ def _cmd_validate(args) -> int:
         _emit(args, payload, "valid witness" if valid else
               "invalid witness:\n  " + "\n  ".join(problems))
         return OK if valid else NEGATIVE
+    if threads is not None and not is_thread_cover(graph, threads):
+        _emit(args, {"valid": False, "kind": "graph", "problems": [NOT_A_COVER]},
+              "invalid graph:\n  " + NOT_A_COVER)
+        return NEGATIVE
     _emit(args, {"valid": True, "kind": "graph"}, "valid graph")
     return OK
 
@@ -267,7 +272,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_planar(args) -> int:
     doc = _load_knit(args.file)
-    ok = is_planar(underlying_knitting_graph(doc.graph))
+    ok = is_planar_with_layout(doc.graph, doc.layout)
     _emit(args, {"planar": ok}, "planar" if ok else "not planar")
     return OK if ok else NEGATIVE
 

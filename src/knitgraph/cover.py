@@ -16,13 +16,7 @@ minimum path cover, goes through the flow network.
 
 from __future__ import annotations
 
-from .errors import (
-    CycleDetectedError,
-    InfeasibleVertexError,
-    NotADagError,
-    PurplePresentError,
-    TooLargeError,
-)
+from .errors import InfeasibleVertexError, PurplePresentError, TooLargeError
 from .feasibility import RedRule, Role, check_coloring, classify_vertex, thread_paths
 from .flows import (
     FlowNetwork,
@@ -33,14 +27,6 @@ from .flows import (
 from .graphs import DirectedKnitGraph, EdgeColor, KnittingGraph, topological_sort
 
 ThreadCover = tuple[tuple[int, ...], ...]
-
-
-def _require_dag(g: DirectedKnitGraph) -> list[int]:
-    """Topological order of g; NotADagError when g has a cycle."""
-    try:
-        return topological_sort(g)
-    except CycleDetectedError as exc:
-        raise NotADagError(exc.cycle) from exc
 
 
 def _is_chain(g: DirectedKnitGraph, order: list[int]) -> bool:
@@ -62,7 +48,7 @@ def _is_chain(g: DirectedKnitGraph, order: list[int]) -> bool:
 
 def has_hamiltonian_path_dag(g: DirectedKnitGraph) -> list[int] | None:
     """Topological order if consecutive vertices are joined by arcs, else None."""
-    order = _require_dag(g)
+    order = topological_sort(g)
     return order if _is_chain(g, order) else None
 
 
@@ -184,7 +170,7 @@ def is_thread_cover(g: DirectedKnitGraph, cover) -> bool:
     that are arcs of g, so the cover is valid just when reading those
     arcs back as threads gives the cover itself.
     """
-    paths, _problems = thread_paths(_witness(g, cover), {EdgeColor.BLUE})
+    paths, _problems = thread_paths(_witness(g, cover))
     return paths == tuple(sorted(map(tuple, cover)))
 
 
@@ -202,7 +188,7 @@ def decide_k_knittable(
     first vertex must be able to start the thread, the last to end it, and
     every other vertex to continue it. Every other k takes the flow.
     """
-    order = _require_dag(g)
+    order = topological_sort(g)
     try:
         if k == 1 and order:
             return _one_thread(g, order, _threadable_roles(g, rule))
@@ -246,7 +232,7 @@ def sweep_feasible_k(g: DirectedKnitGraph, rule: RedRule = RedRule.STRICT) -> li
     """
     if g.n == 0:  # no k to try, so nothing is checked, as with one decision per k
         return []
-    _require_dag(g)
+    topological_sort(g)
     try:
         roles = _threadable_roles(g, rule)
     except InfeasibleVertexError:
@@ -265,7 +251,7 @@ def minimum_path_cover(g: DirectedKnitGraph) -> tuple[int, ThreadCover]:
     continue a path, and the super-arc bound is relaxed so the solver can
     shrink the path count to its minimum.
     """
-    _require_dag(g)
+    topological_sort(g)
     if g.n == 0:
         return 0, ()
     all_roles = frozenset({Role.S, Role.M, Role.T})

@@ -36,16 +36,12 @@ class SchemaError(KnitError):
     """Malformed JSON document; message carries field context."""
 
 
-class CycleDetectedError(KnitError):
+class NotADagError(KnitError):
     def __init__(self, cycle: list[int]):
         self.cycle = cycle
-        super().__init__(f"cycle detected: {' -> '.join(map(str, cycle + cycle[:1]))}")
-
-
-class NotADagError(KnitError):
-    def __init__(self, cycle: list[int] | None = None):
-        self.cycle = cycle or []
-        super().__init__("graph is not a DAG")
+        super().__init__(
+            f"graph is not a DAG: cycle {' -> '.join(map(str, cycle + cycle[:1]))}"
+        )
 
 
 class MultiplicityTooHighError(KnitError):

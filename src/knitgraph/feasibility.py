@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import PurplePresentError, UncoloredPresentError
-from .graphs import DirectedKnitGraph, EdgeColor
+from .errors import UncoloredPresentError
+from .graphs import LOOP_COLORS, THREAD_COLORS, DirectedKnitGraph, EdgeColor
 
 
 class RedRule(Enum):
@@ -92,10 +92,8 @@ class ColoringReport:
         return len(self.threads)
 
 
-def thread_paths(
-    g: DirectedKnitGraph, thread_colors: set[EdgeColor]
-) -> tuple[tuple[tuple[int, ...], ...], list[str]]:
-    """Decompose the thread-colored arcs into vertex-disjoint paths.
+def thread_paths(g: DirectedKnitGraph) -> tuple[tuple[tuple[int, ...], ...], list[str]]:
+    """Decompose the thread arcs (blue and purple) into vertex-disjoint paths.
 
     Isolated vertices count as singleton paths. Returns (paths, problems);
     problems is nonempty when the thread arcs do not form disjoint paths.
@@ -104,7 +102,7 @@ def thread_paths(
     prv = [-1] * g.n
     problems: list[str] = []
     for src, dst, color in g.edges:
-        if color not in thread_colors:
+        if color not in THREAD_COLORS:
             continue
         if nxt[src] != -1:
             problems.append(f"vertex {src} has two sequential out-edges")
@@ -135,35 +133,26 @@ def thread_paths(
 
 
 def check_coloring(
-    g: DirectedKnitGraph,
-    k: int,
-    rule: RedRule = RedRule.STRICT,
-    *,
-    allow_purple: bool = False,
+    g: DirectedKnitGraph, k: int, rule: RedRule = RedRule.STRICT
 ) -> ColoringReport:
     """Verify that a fully colored graph is a valid k-thread witness.
 
-    Blue edges must form exactly k vertex-disjoint directed paths covering
-    every vertex, and each vertex's red configuration must be admissible for
-    its position on its path. With allow_purple, purple edges act as thread
-    edges that additionally contribute one loop to both endpoints (the
-    flat-knitting turn reading); without it they are rejected.
+    The thread arcs must form exactly k vertex-disjoint directed paths
+    covering every vertex, and each vertex's red configuration must be
+    admissible for its position on its path. A purple arc is a thread step
+    that also adds one loop at each end (the flat-knitting turn).
     """
-    colors = g.colors()
-    if EdgeColor.UNCOLORED in colors:
+    if EdgeColor.UNCOLORED in g.colors():
         raise UncoloredPresentError()
-    if EdgeColor.PURPLE in colors and not allow_purple:
-        raise PurplePresentError()
 
-    thread_colors = {EdgeColor.BLUE, EdgeColor.PURPLE} if allow_purple else {EdgeColor.BLUE}
-    paths, problems = thread_paths(g, thread_colors)
+    paths, problems = thread_paths(g)
     if problems:
         return ColoringReport(False, k, (), problems)
 
     red_in = [0] * g.n
     red_out = [0] * g.n
     for src, dst, color in g.edges:
-        if color is EdgeColor.RED or color is EdgeColor.PURPLE:
+        if color in LOOP_COLORS:
             red_out[src] += 1
             red_in[dst] += 1
 

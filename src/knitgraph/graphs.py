@@ -14,11 +14,11 @@ from enum import Enum
 from itertools import accumulate
 
 from .errors import (
-    CycleDetectedError,
     DuplicateEdgeError,
     IndexOutOfRangeError,
     InconsistentPairError,
     MultiplicityTooHighError,
+    NotADagError,
     SelfLoopError,
 )
 
@@ -36,6 +36,11 @@ class EdgeColor(Enum):
     PURPLE = "purple"
     UNCOLORED = "uncolored"
 
+
+# The colors that step along a thread and those that loop through an
+# earlier stitch; a purple arc is in both.
+THREAD_COLORS = frozenset({EdgeColor.BLUE, EdgeColor.PURPLE})
+LOOP_COLORS = frozenset({EdgeColor.RED, EdgeColor.PURPLE})
 
 ColoredEdge = tuple[int, int, EdgeColor]
 
@@ -210,7 +215,7 @@ def topological_sort(g: DirectedKnitGraph) -> list[int]:
 
     The edges are sorted by (src, dst), so the successors of v are the
     heads of one slice of them, found from out-degree offsets; no list is
-    built per vertex. Raises CycleDetectedError carrying one concrete cycle.
+    built per vertex. Raises NotADagError carrying one concrete cycle.
     """
     n = g.n
     indeg = [0] * n
@@ -231,7 +236,7 @@ def topological_sort(g: DirectedKnitGraph) -> list[int]:
             if indeg[w] == 0:
                 heapq.heappush(heap, w)
     if len(order) < g.n:
-        raise CycleDetectedError(_find_cycle(g, set(range(g.n)) - set(order)))
+        raise NotADagError(_find_cycle(g, set(range(g.n)) - set(order)))
     return order
 
 
@@ -284,7 +289,7 @@ def is_dag(g: DirectedKnitGraph) -> bool:
     try:
         topological_sort(g)
         return True
-    except CycleDetectedError:
+    except NotADagError:
         return False
 
 

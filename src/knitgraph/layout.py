@@ -30,6 +30,8 @@ from .errors import (
 )
 from .feasibility import RedRule, check_coloring, thread_paths
 from .graphs import (
+    LOOP_COLORS,
+    THREAD_COLORS,
     DirectedKnitGraph,
     EdgeColor,
     KnittingGraph,
@@ -50,6 +52,21 @@ def is_planar(kg: KnittingGraph) -> bool:
     graph.add_edges_from(kg.edges)
     ok, _embedding = nx.check_planarity(graph, counterexample=False)
     return ok
+
+
+def is_planar_with_layout(g: DirectedKnitGraph, layout: Layout | None) -> bool:
+    """Planarity of g, read from its drawing when that settles it.
+
+    A non-degenerate drawing without crossings is a plane straight-line
+    drawing, so it proves g planar; without one, `is_planar` decides.
+    """
+    if layout is not None:
+        try:
+            if not crossing_graph(g, layout).links:
+                return True
+        except DegenerateLayoutError:
+            pass
+    return is_planar(underlying_knitting_graph(g))
 
 
 @dataclass(frozen=True)
@@ -246,12 +263,12 @@ def crossing_graph(
 def cable_width(g: DirectedKnitGraph, layout: Layout) -> int:
     """Largest link count among crossing-graph components of the drawing.
 
-    Sequential (blue) edges must be pairwise non-crossing.
+    Thread edges (blue and purple) must be pairwise non-crossing.
     """
     cg = crossing_graph(g, layout)
     edges = g.edges
     for i, j in cg.links:
-        if edges[i][2] is EdgeColor.BLUE and edges[j][2] is EdgeColor.BLUE:
+        if edges[i][2] in THREAD_COLORS and edges[j][2] in THREAD_COLORS:
             raise BlueCrossingError((i, j))
     return cg.max_component_links()
 
@@ -294,9 +311,9 @@ def classify_complexity(
         edges = g.edges
         for i, j in cg.links:
             involved = {edges[i][2], edges[j][2]}
-            if involved & {EdgeColor.RED, EdgeColor.PURPLE}:
+            if involved & LOOP_COLORS:
                 crossings_red = True
-            if involved & {EdgeColor.BLUE, EdgeColor.PURPLE}:
+            if involved & THREAD_COLORS:
                 crossings_blue = True
         has_crossings = bool(cg.links)
     # crossing_graph rejects every degenerate drawing, so a layout without
@@ -316,24 +333,13 @@ def classify_complexity(
     return ComplexityReport(cls, planar, crossings_red, crossings_blue)
 
 
-def _drawn_plane(g: DirectedKnitGraph, layout: Layout | None) -> bool:
-    """Whether layout is a non-degenerate drawing of g with no crossings,
-    which makes it a plane straight-line drawing, so g is planar."""
-    if layout is None:
-        return False
-    try:
-        return not crossing_graph(g, layout).links
-    except DegenerateLayoutError:
-        return False
-
-
 def _class0_configs_ok(g: DirectedKnitGraph, rule: RedRule) -> bool:
     if EdgeColor.UNCOLORED in g.colors():
         return False
-    paths, problems = thread_paths(g, {EdgeColor.BLUE, EdgeColor.PURPLE})
+    paths, problems = thread_paths(g)
     if problems:
         return False
-    return check_coloring(g, len(paths), rule, allow_purple=True).valid
+    return check_coloring(g, len(paths), rule).valid
 
 
 def _thread_of(cover) -> tuple[int, ...]:
@@ -380,7 +386,7 @@ def row_layers(g: DirectedKnitGraph, thread: tuple[int, ...]) -> list[int]:
     stitches it passes through, and rows never decrease along the thread."""
     loop_parents: dict[int, list[int]] = {v: [] for v in thread}
     for src, dst, color in g.edges:
-        if color in (EdgeColor.RED, EdgeColor.PURPLE) and dst in loop_parents:
+        if color in LOOP_COLORS and dst in loop_parents:
             loop_parents[dst].append(src)
     rows_by_vertex: dict[int, int] = {}
     rows: list[int] = []
@@ -402,11 +408,11 @@ def count_rows(
     With a drawing, rows come from side switches of outgoing loop edges
     along the thread; without one, from the loop layering (each stitch one
     row above its loop parents). Stitches with no loop edges keep the
-    current row in both schemes. A drawing without crossings proves
-    planarity; otherwise the networkx test decides it.
+    current row in both schemes. Planarity is read as in
+    `is_planar_with_layout`.
     """
     thread = _thread_of(cover)
-    if not _drawn_plane(g, layout) and not is_planar(underlying_knitting_graph(g)):
+    if not is_planar_with_layout(g, layout):
         raise NotPlanarLayoutError()
     if not thread:
         return 0

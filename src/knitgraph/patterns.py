@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .cover import ThreadCover
 from .errors import BadDimsError, NotSingleThreadError
-from .graphs import DirectedKnitGraph, EdgeColor, YarnGraph
+from .graphs import LOOP_COLORS, DirectedKnitGraph, EdgeColor, YarnGraph
 from .feasibility import RedRule
 from .layout import ComplexityClass, row_layers
 from .serialize import MAX_VERTICES, Layout
@@ -245,7 +245,7 @@ def emit_instructions(fixture: Fixture) -> str:
     loop_parents: dict[int, list[int]] = {v: [] for v in thread}
     children_seen: dict[int, int] = {}
     for src, dst, color in g.edges:
-        if color in (RED, PURPLE):
+        if color in LOOP_COLORS:
             loop_parents[dst].append(src)
     rows = row_layers(g, thread)
 

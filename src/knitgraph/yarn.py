@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .errors import KnitError, NoEulerianPathError
 from .graphs import (
+    THREAD_COLORS,
     DirectedKnitGraph,
     EdgeColor,
     YarnGraph,
@@ -45,9 +46,7 @@ def yarn_from_threads(g: DirectedKnitGraph, cover) -> YarnGraph:
     trail extraction deterministic.
     """
     thread_pairs = {pair for thread in cover for pair in zip(thread, thread[1:])}
-    declared = {
-        (s, d) for s, d, c in g.edges if c in (EdgeColor.BLUE, EdgeColor.PURPLE)
-    }
+    declared = {(s, d) for s, d, c in g.edges if c in THREAD_COLORS}
     if thread_pairs != declared:
         raise ValueError("cover does not match the sequential edges of the coloring")
     arcs: list[tuple[int, int]] = []
@@ -244,14 +243,14 @@ def is_yarn_graph_of_k_knittable(
     except KnitError as exc:  # reduction errors are verdicts here, not crashes
         reasons.append(f"{type(exc).__name__}: {exc}")
         return YarnCheckReport(False, count, 0, reasons)
-    threads, problems = thread_paths(reduced, {EdgeColor.BLUE, EdgeColor.PURPLE})
+    threads, problems = thread_paths(reduced)
     if problems:
         reasons.append("sequential arcs do not form vertex-disjoint paths")
         return YarnCheckReport(False, count, 0, reasons)
     paths = len(threads)
     if paths > k:
         reasons.append(f"sequential skeleton forms {paths} threads, only {k} allowed")
-    report = check_coloring(reduced, paths, rule, allow_purple=True)
+    report = check_coloring(reduced, paths, rule)
     if not report.valid:
         reasons.extend(report.problems)
     return YarnCheckReport(not reasons, count, paths, reasons)

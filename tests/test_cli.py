@@ -4,9 +4,11 @@ import argparse
 import gc
 import json
 
+import networkx as nx
 import pytest
 
-from knitgraph import cli, gen_stockinette, serialize_json
+from knitgraph import cli, gen_stitch_fixture, gen_stockinette, serialize_json
+from knitgraph import layout as layout_module
 from knitgraph.cli import build_parser, main
 
 
@@ -258,12 +260,56 @@ def test_validate_checks_meta_threads_against_the_thread_arcs(round33, tmp_path,
     assert json.loads(out) == {"valid": True, "threads": 2, "problems": []}
 
 
+def test_validate_checks_meta_threads_without_k(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    for threads, code_wanted, payload in (
+        ([[0, 0, 1]], 1, {"valid": False, "kind": "graph", "problems": [cli.NOT_A_COVER]}),
+        ([[0, 1, 2]], 0, {"valid": True, "kind": "graph"}),
+    ):
+        path.write_text(json.dumps(
+            {"n": 3, "directed": True, "edges": _CHAIN, "meta": {"threads": threads}}
+        ))
+        code, out, err = run(capsys, "validate", "--json", str(path))
+        assert (code, json.loads(out), err) == (code_wanted, payload, "")
+
+
 def test_planar_and_hamiltonian(round33, capsys):
     code, _, _ = run(capsys, "planar", str(round33))
     assert code == 0
     code, out, _ = run(capsys, "hamiltonian", "--json", str(round33))
     assert code == 0
     assert json.loads(out)["order"] == list(range(9))
+
+
+def test_planar_reads_a_crossing_free_drawing_first(tmp_path, capsys, monkeypatch):
+    flat, cable = tmp_path / "flat.json", tmp_path / "c1b.json"
+    run(capsys, "gen", "--pattern", "stockinette", "--rows", "4", "--cols", "4", "-o", str(flat))
+    run(capsys, "gen", "--pattern", "c1b", "-o", str(cable))
+    # the cable's drawing has a crossing, so networkx decides
+    c1b = gen_stitch_fixture("c1b").graph
+    expected = nx.check_planarity(nx.Graph((s, d) for s, d, _ in c1b.edges))[0]
+    code, out, _ = run(capsys, "planar", "--json", str(cable))
+    assert (code, json.loads(out)) == (0 if expected else 1, {"planar": expected})
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("networkx planarity test ran")
+
+    monkeypatch.setattr(layout_module.nx, "check_planarity", refuse)
+    assert run(capsys, "planar", str(flat)) == (0, "planar\n", "")
+
+
+@pytest.mark.parametrize(
+    "command", [["decide"], ["decide", "--sweep"], ["cover"], ["hamiltonian"]],
+    ids=["decide", "sweep", "cover", "hamiltonian"],
+)
+def test_cycle_is_named_on_stderr(tmp_path, capsys, command):
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"n": 3, "directed": True, "edges": [
+        {"src": 0, "dst": 1}, {"src": 1, "dst": 2}, {"src": 2, "dst": 0},
+    ]}))
+    assert run(capsys, *command, str(path)) == (
+        2, "", "error: graph is not a DAG: cycle 0 -> 1 -> 2 -> 0\n"
+    )
 
 
 def _yarn_doc(tmp_path):

@@ -33,6 +33,7 @@ from knitgraph import (
     solve_flow_range,
     solve_flow_with_bounds,
     sweep_feasible_k,
+    topological_sort,
     underlying_knitting_graph,
     vertex_roles,
 )
@@ -575,7 +576,7 @@ def test_vertex_roles_reports_first_bad_vertex():
 
 def _flow_decide_one(g, rule):
     """`decide_k_knittable(g, 1, rule)` through the flow network."""
-    cover_module._require_dag(g)
+    topological_sort(g)
     try:
         net = build_flow_network(g, 1, rule)
     except InfeasibleVertexError:

@@ -5,7 +5,6 @@ import pytest
 from knitgraph import (
     DirectedKnitGraph,
     EdgeColor,
-    PurplePresentError,
     RedRule,
     Role,
     UncoloredPresentError,
@@ -114,11 +113,14 @@ def test_check_coloring_path_count_mismatch():
     assert any("2 threads" in p for p in report.problems)
 
 
-def test_check_coloring_rejects_purple_by_default():
+def test_check_coloring_reads_purple_as_thread_step_and_loop():
     f = gen_stockinette(3, 3)  # flat: has purple turns
-    with pytest.raises(PurplePresentError):
-        check_coloring(f.graph, 1)
-    assert check_coloring(f.graph, 1, allow_purple=True).valid
+    assert check_coloring(f.graph, 1).valid
+    # Read as a plain thread step, a turn leaves its row-end stitch with no
+    # loop at all, which no strict configuration admits.
+    blue = tuple((s, d, B if c is P else c) for s, d, c in f.graph.edges)
+    report = check_coloring(DirectedKnitGraph(f.graph.n, blue), 1)
+    assert not report.valid
 
 
 def test_check_coloring_rejects_uncolored():

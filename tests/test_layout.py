@@ -344,15 +344,17 @@ def test_crossing_graph_components_count_links_per_component():
 
 
 def test_cable_width_blue_crossing_rejected():
-    g = DirectedKnitGraph(4, ((0, 1, B), (2, 3, B)))
+    # a purple arc is a thread step too, so it may cross no thread arc
     layout = {
         0: (0, Fraction(0)),
         1: (1, Fraction(1)),
         2: (1, Fraction(0)),
         3: (0, Fraction(1)),
     }
-    with pytest.raises(BlueCrossingError):
-        cable_width(g, layout)
+    for first, second in ((B, B), (P, B), (B, P), (P, P)):
+        g = DirectedKnitGraph(4, ((0, 1, first), (2, 3, second)))
+        with pytest.raises(BlueCrossingError):
+            cable_width(g, layout)
 
 
 def test_classify_fixture_expectations():

@@ -112,7 +112,7 @@ def test_fixtures_pass_check_coloring():
     for f in all_fixtures():
         if f.expected_class is not ComplexityClass.CLASS0:
             continue  # brioche and cables are beyond the class-0 scheme
-        report = check_coloring(f.graph, f.k, f.rule, allow_purple=True)
+        report = check_coloring(f.graph, f.k, f.rule)
         assert report.valid, (f.name, report.problems)
 
 
