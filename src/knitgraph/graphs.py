@@ -36,6 +36,10 @@ class EdgeColor(Enum):
     PURPLE = "purple"
     UNCOLORED = "uncolored"
 
+    # Members are singletons compared by identity, so the C identity hash
+    # serves every set and dict lookup; Enum's own hashes the name in Python.
+    __hash__ = object.__hash__
+
 
 # The colors that step along a thread and those that loop through an
 # earlier stitch; a purple arc is in both.

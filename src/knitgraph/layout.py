@@ -3,9 +3,9 @@ planarity, segment crossings, cable width, complexity classes, row
 counting, and the zero-interleaving simplicity test.
 
 A layout maps each vertex to (row, column); rows are integers and columns
-exact rationals, so every intersection test below is exact. The crossing
-graph scales the columns (and any fractional rows) by the LCM of their
-denominators, so its orientation tests run on Python ints, and it tests
+exact rationals. Every test below runs on one int drawing: the columns
+(and any fractional rows) scaled by the LCM of their denominators, so
+every orientation test is exact on Python ints. The crossing graph tests
 only the edge pairs whose bounding boxes overlap, found by a sweep over
 row bands and x intervals. Vertices join the same sweep as one-point
 edges, so one search finds every vertex-edge and edge-edge incidence. On
@@ -39,8 +39,6 @@ from .graphs import (
     underlying_knitting_graph,
 )
 from .serialize import Layout
-
-Point = tuple[Fraction, Fraction]  # (x=col, y=row)
 
 
 def is_planar(kg: KnittingGraph) -> bool:
@@ -95,56 +93,42 @@ class CrossingGraph:
         return max((links for _c, links in self.components()), default=0)
 
 
-def _point(layout: Layout, v: int) -> Point:
-    row, col = layout[v]
-    return (Fraction(col), Fraction(row))
-
-
-def _orient(a: Point, b: Point, c: Point) -> int:
+def _orient(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> int:
     val = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
     return (val > 0) - (val < 0)
 
 
 def _scaled_points(
-    g: DirectedKnitGraph | KnittingGraph, layout: Layout
-) -> tuple[dict[int, tuple[int, int]], tuple[int, int]]:
-    """Vertex positions with columns times sx and rows times sy, the LCMs
-    of their denominators, so that every coordinate is an int.
+    positions: list[tuple[int, Fraction]],
+) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+    """The int drawing: (x, y) per position, with columns times sx and rows
+    times sy, the LCMs of their denominators, and the scale (sx, sy).
 
     Scaling each axis by a positive factor keeps every orientation sign,
-    betweenness and intersection, so the tests run on ints; points go back
-    to layout coordinates only for an error report.
+    betweenness and intersection, so every test of this module runs on
+    ints; points go back to layout coordinates only for an error report.
     """
-    exact: list[tuple[int, Fraction, Fraction]] = []
-    missing = None
-    for v in range(g.n):
-        if v not in layout:
-            missing = v
-            break
-        row, col = layout[v]
-        exact.append((v, Fraction(col), Fraction(row)))
-    sx = math.lcm(*(x.denominator for _v, x, _y in exact))
-    sy = math.lcm(*(y.denominator for _v, _x, y in exact))
-    points: dict[int, tuple[int, int]] = {}
-    taken: set[tuple[int, int]] = set()
-    for v, x, y in exact:
-        p = (x.numerator * (sx // x.denominator), y.numerator * (sy // y.denominator))
-        if p in taken:
-            raise DegenerateLayoutError((x, y), "two vertices share a position")
-        taken.add(p)
-        points[v] = p
-    # a duplicate before the first missing vertex is reported first
-    if missing is not None:
-        raise DegenerateLayoutError(None, f"vertex {missing} missing from layout")
+    # ints and Fractions carry their numerator and denominator already;
+    # only other numbers, such as floats, are converted
+    xs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for _r, c in positions]
+    ys = [r if isinstance(r, (int, Fraction)) else Fraction(r) for r, _c in positions]
+    sx = math.lcm(*(x.denominator for x in xs))
+    sy = math.lcm(*(y.denominator for y in ys))
+    points = [
+        (x.numerator * (sx // x.denominator), y.numerator * (sy // y.denominator))
+        for x, y in zip(xs, ys)
+    ]
     return points, (sx, sy)
 
 
-def _unscale(p: tuple[int, int], scale: tuple[int, int], den: int = 1) -> Point:
+def _unscale(
+    p: tuple[int, int], scale: tuple[int, int], den: int = 1
+) -> tuple[Fraction, Fraction]:
     return (Fraction(p[0], scale[0] * den), Fraction(p[1], scale[1] * den))
 
 
 def _candidate_pairs(
-    pairs: list[tuple[int, int]], points: dict[int, tuple[int, int]]
+    pairs: list[tuple[int, int]], points: list[tuple[int, int]]
 ) -> list[tuple[int, int]]:
     """Edge index pairs (i < j), ascending, whose closed bounding boxes
     overlap and that share no vertex: the only pairs that can cross,
@@ -157,7 +141,7 @@ def _candidate_pairs(
     Within a band, an x-interval sweep pairs the edges whose closed x
     ranges overlap.
     """
-    band_of_row = {y: k for k, y in enumerate(sorted({p[1] for p in points.values()}))}
+    band_of_row = {y: k for k, y in enumerate(sorted({p[1] for p in points}))}
     bands: list[list[tuple[int, int, int]]] = [[] for _ in band_of_row]
     first_band: list[int] = []
     for i, (u, w) in enumerate(pairs):
@@ -209,7 +193,16 @@ def crossing_graph(
         pairs = list(g.edges)
     else:
         pairs = [(s, d) for s, d, _ in g.edges]
-    points, scale = _scaled_points(g, layout)
+    missing = next((v for v in range(g.n) if v not in layout), g.n)
+    points, scale = _scaled_points([layout[v] for v in range(missing)])
+    # a duplicate before the first missing vertex is reported first
+    taken: set[tuple[int, int]] = set()
+    for p in points:
+        if p in taken:
+            raise DegenerateLayoutError(_unscale(p, scale), "two vertices share a position")
+        taken.add(p)
+    if missing < g.n:
+        raise DegenerateLayoutError(None, f"vertex {missing} missing from layout")
     # Vertex v joins the sweep as the one-point edge m + v, so a candidate
     # (i, m + v) is a vertex in the closed box of edge i, and on the edge
     # exactly when collinear with it; candidates come in (edge, vertex)
@@ -354,25 +347,24 @@ def _count_rows_by_sides(
     """Side-switch row count: classify each outgoing loop edge as left or
     right of the local thread direction; every switch, including the very
     first signal after cast-on, opens a row."""
-    points = {v: _point(layout, v) for v in range(g.n)}
+    points, _scale = _scaled_points([layout[v] for v in range(g.n)])
     out_adj = g.out_adj()
-    zero = (Fraction(0), Fraction(0))
     changes = 0
     side = 0
     for i, v in enumerate(thread):
         nxt = thread[i + 1] if i + 1 < len(thread) else None
-        prev = thread[i - 1] if i > 0 else None
+        # the thread direction b - a, with v at a or at b, so the side of
+        # the loop vector w - v is orient(a, b, w)
         if nxt is not None:
-            direction = (points[nxt][0] - points[v][0], points[nxt][1] - points[v][1])
-        elif prev is not None:
-            direction = (points[v][0] - points[prev][0], points[v][1] - points[prev][1])
+            a, b = points[v], points[nxt]
+        elif i > 0:
+            a, b = points[thread[i - 1]], points[v]
         else:
             continue  # one-stitch thread: no direction, one row
-        for w, _color in sorted(out_adj[v], key=lambda e: e[0]):
+        for w, _color in out_adj[v]:  # heads ascending, as the edges are sorted
             if w == nxt:
                 continue  # thread edge, not a loop
-            vec = (points[w][0] - points[v][0], points[w][1] - points[v][1])
-            s = _orient(zero, direction, vec)
+            s = _orient(a, b, points[w])
             if s == 0:
                 continue  # ambiguous: keep the current row
             if s != side:

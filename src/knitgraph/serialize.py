@@ -19,6 +19,7 @@ in the parsed document.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -60,9 +61,12 @@ def _require(data: dict, key: str, kind, where: str):
     return value
 
 
-def _parse_col(value) -> Fraction:
+def _parse_col(key: str, value) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError("layout: column must be a number")
+        raise SchemaError(f"layout[{key}]: column must be a number")
+    # json reads NaN, Infinity and overflowing literals such as 1e400 as floats
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SchemaError(f"layout[{key}]: column must be finite, found {value}")
     # str round-trip keeps decimal literals exact ("0.6" -> 3/5)
     return Fraction(str(value))
 
@@ -147,12 +151,15 @@ def parse_document(data: bytes | str) -> GraphDocument:
                 vid = int(key)
             except ValueError:
                 raise SchemaError(f"layout: non-integer vertex id {key!r}") from None
+            # int() also reads " 2", "02", "+2" and "1_0": one vertex, one key
+            if key != str(vid):
+                raise SchemaError(f"layout: vertex id {key!r} must be written {str(vid)!r}")
             if not isinstance(pair, list) or len(pair) != 2:
                 raise SchemaError(f"layout[{key}]: expected [row, col]")
             row, col = pair
             if isinstance(row, bool) or not isinstance(row, int):
                 raise SchemaError(f"layout[{key}]: row must be an integer")
-            layout[vid] = (row, _parse_col(col))
+            layout[vid] = (row, _parse_col(key, col))
         for vid in layout:
             if not 0 <= vid < n:
                 raise SchemaError(f"layout: vertex id {vid} out of range for n={n}")

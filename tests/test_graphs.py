@@ -451,3 +451,11 @@ def test_component_labels_match_networkx(case):
             expected[v] = label
     assert component_labels(n, pairs) == expected
 
+
+def test_edge_color_hashes_by_identity():
+    # the C identity hash, not Enum's Python-level hash of the member name
+    assert EdgeColor.__hash__ is object.__hash__
+    for color in EdgeColor:
+        assert hash(color) == object.__hash__(color)
+        assert color in {EdgeColor(color.value)}
+        assert {color: 1}[EdgeColor(color.value)] == 1

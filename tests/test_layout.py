@@ -28,9 +28,20 @@ from knitgraph import (
     underlying_knitting_graph,
 )
 from knitgraph import layout as layout_module
-from knitgraph.layout import CrossingGraph, _orient, _point, row_layers
+from knitgraph.layout import CrossingGraph, row_layers
 
 B, R, P, U = EdgeColor.BLUE, EdgeColor.RED, EdgeColor.PURPLE, EdgeColor.UNCOLORED
+
+
+def _point(layout, v):
+    """Vertex v at (x=col, y=row) in `Fraction`s, unscaled."""
+    row, col = layout[v]
+    return (Fraction(col), Fraction(row))
+
+
+def _orient(a, b, c):
+    val = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (val > 0) - (val < 0)
 
 
 def _on_segment(a, b, p):
@@ -466,16 +477,48 @@ def test_count_rows_rejects_nonplanar():
         count_rows(g, (tuple(range(5)),), None)
 
 
+def _count_rows_by_sides_fraction(g, thread, layout):
+    """Reference side counter on the unscaled drawing in `Fraction`s: each
+    loop vector w - v against the thread direction at v, heads in
+    ascending order."""
+    points = {v: _point(layout, v) for v in range(g.n)}
+    out_adj = g.out_adj()
+    zero = (Fraction(0), Fraction(0))
+    changes = 0
+    side = 0
+    for i, v in enumerate(thread):
+        nxt = thread[i + 1] if i + 1 < len(thread) else None
+        prev = thread[i - 1] if i > 0 else None
+        if nxt is not None:
+            direction = (points[nxt][0] - points[v][0], points[nxt][1] - points[v][1])
+        elif prev is not None:
+            direction = (points[v][0] - points[prev][0], points[v][1] - points[prev][1])
+        else:
+            continue
+        for w, _color in sorted(out_adj[v], key=lambda e: e[0]):
+            if w == nxt:
+                continue
+            vec = (points[w][0] - points[v][0], points[w][1] - points[v][1])
+            s = _orient(zero, direction, vec)
+            if s == 0:
+                continue
+            if s != side:
+                changes += 1
+                side = s
+    return 1 + changes
+
+
 def _count_rows_networkx(g, cover, layout=None):
-    """`count_rows` as it was before a drawing could prove planarity: the
-    networkx test on every call. The oracle of the drawing shortcut."""
+    """`count_rows` as it was before a drawing could prove planarity and
+    before the side counter ran on the int drawing: the networkx test on
+    every call, then the `Fraction` side counter. The oracle of both."""
     thread = layout_module._thread_of(cover)
     if not is_planar(underlying_knitting_graph(g)):
         raise NotPlanarLayoutError()
     if not thread:
         return 0
     if layout is not None:
-        return layout_module._count_rows_by_sides(g, thread, layout)
+        return _count_rows_by_sides_fraction(g, thread, layout)
     return row_layers(g, thread)[-1] + 1
 
 
@@ -498,6 +541,20 @@ def test_count_rows_matches_networkx_oracle_on_random_drawings(drawing, data):
         assert _rows_outcome(count_rows, g, cover, drawn) == _rows_outcome(
             _count_rows_networkx, g, cover, drawn
         )
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawings(), st.data())
+def test_side_counter_matches_fraction_reference_on_random_drawings(drawing, data):
+    # every drawing, degenerate and partial ones included: `rows` counts
+    # sides on a degenerate drawing once networkx finds the graph planar
+    g, layout = drawing
+    if isinstance(g, KnittingGraph):
+        g = DirectedKnitGraph(g.n, tuple((u, w, R) for u, w in g.edges))
+    thread = tuple(data.draw(st.permutations(range(g.n))))
+    assert _rows_outcome(layout_module._count_rows_by_sides, g, thread, layout) == (
+        _rows_outcome(_count_rows_by_sides_fraction, g, thread, layout)
+    )
 
 
 def test_count_rows_matches_networkx_oracle_on_fixtures():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -77,6 +78,23 @@ def test_bad_color_is_schema_error():
 def test_layout_must_cover_exactly_the_vertices(layout, message):
     doc = '{"n": 2, "directed": true, "edges": [], "layout": %s}' % layout
     with pytest.raises(SchemaError, match=message):
+        parse_document(doc)
+
+
+@pytest.mark.parametrize("key", [" 2", "02", "+2", "2 ", "0_2"])
+def test_layout_refuses_an_alias_of_a_vertex_id(key):
+    # int() reads each key as 2; taken as such, it would move vertex 2
+    doc = '{"n": 3, "directed": true, "edges": [], "layout": {"0": [0, 0], "1": [0, 1], "2": [0, 2], "%s": [5, 7]}}' % key
+    with pytest.raises(SchemaError, match=re.escape(f"vertex id '{key}' must be written '2'")):
+        parse_document(doc)
+
+
+@pytest.mark.parametrize(
+    "col, shown", [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf")]
+)
+def test_layout_refuses_a_non_finite_column(col, shown):
+    doc = '{"n": 2, "directed": true, "edges": [], "layout": {"0": [0, 0], "1": [0, %s]}}' % col
+    with pytest.raises(SchemaError, match=rf"layout\[1\]: column must be finite, found {shown}$"):
         parse_document(doc)
 
 
