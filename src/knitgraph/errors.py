@@ -96,9 +96,13 @@ class NoEulerianPathError(KnitError):
 
 
 class DegenerateLayoutError(KnitError):
+    """A drawing fault; `point` is (x, y) = (column, row), or None."""
+
     def __init__(self, point, detail: str = ""):
         self.point = point
-        msg = f"degenerate layout at {point}"
+        msg = "degenerate layout"
+        if point is not None:
+            msg += f" at row {point[1]}, column {point[0]}"
         super().__init__(msg + (f": {detail}" if detail else ""))
 
 

@@ -4,9 +4,9 @@ The network is the split-vertex construction used by the thread decision:
 each graph vertex v becomes v_in/v_out joined by a mandatory unit arc, and
 designated super source/sink node pairs carry the thread count. Solving
 uses the standard lower-bound elimination to a max-flow problem; max flow
-itself is a Dinic scheme over flat CSR arrays so ~10^5-vertex graphs stay
-well inside the performance budget. All arc orders are fixed, so results
-are deterministic.
+itself is a Dinic scheme over per-node residual lists, so ~10^5-vertex
+graphs stay well inside the performance budget. All arc orders are fixed,
+so results are deterministic.
 
 An arc is a plain `(tail, head, lower, upper)` tuple; what it stands for is
 read from the node numbering of `FlowNetwork`. Arc i of the network is arc
@@ -67,65 +67,41 @@ class FlowNetwork:
 
 
 class _Dinic:
-    """Max flow on CSR adjacency; arc i is the residual pair 2i (forward)
-    and 2i+1 (backward), so `to[2i]` is its head and `to[2i+1]` its tail.
+    """Max flow on per-node residual lists; arc i is the residual pair 2i
+    (forward) and 2i+1 (backward), so `to[2i]` is its head and `to[2i+1]`
+    its tail. Every augmentation adds to one direction what it takes from
+    the other, so an arc entered as `(c, 0)` carries flow `cap[2i+1]`.
 
     An arc with no capacity keeps its id but stays out of the adjacency:
     no augmenting path can use it, so the search order over the other arcs
-    is the same as if it were absent.
+    is the same as if it were absent. Each node lists its arcs in id order.
     """
 
     def __init__(self, n: int, to: list[int], cap: list[int]):
         self.n = n
-        deg = [0] * n
-        for a in range(0, len(to), 2):
-            if cap[a]:
-                deg[to[a]] += 1
-                deg[to[a + 1]] += 1
-        self.start = [0] * (n + 1)
-        acc = 0
-        for i in range(n):
-            self.start[i] = acc
-            acc += deg[i]
-        self.start[n] = acc
-        pos = list(self.start[:n])
-        flat = [0] * acc
-        for a in range(0, len(to), 2):
-            if cap[a]:
-                u = to[a + 1]
-                flat[pos[u]] = a
-                pos[u] += 1
-                v = to[a]
-                flat[pos[v]] = a + 1
-                pos[v] += 1
         self.to = to
         self.cap = cap
-        self.flat = flat
-        self.init_cap = cap.copy()
+        self.out = out = [[] for _ in range(n)]
+        for a in range(0, len(to), 2):
+            if cap[a]:
+                out[to[a + 1]].append(a)
+                out[to[a]].append(a + 1)
 
     def disable_arc(self, arc_id: int):
         """Zero both residual directions of the forward arc `arc_id`."""
         self.cap[2 * arc_id] = 0
         self.cap[2 * arc_id + 1] = 0
 
-    def flow_on(self, arc_id: int) -> int:
-        return self.init_cap[2 * arc_id] - self.cap[2 * arc_id]
-
     def max_flow(self, s: int, t: int) -> int:
-        to, cap, flat, start = self.to, self.cap, self.flat, self.start
-        n = self.n
+        to, cap, out = self.to, self.cap, self.out
         total = 0
         while True:
-            level = [-1] * n
+            level = [-1] * self.n
             level[s] = 0
             queue = [s]
-            qi = 0
-            while qi < len(queue):
-                v = queue[qi]
-                qi += 1
+            for v in queue:
                 lv = level[v] + 1
-                for idx in range(start[v], start[v + 1]):
-                    a = flat[idx]
+                for a in out[v]:
                     if cap[a] > 0:
                         w = to[a]
                         if level[w] < 0:
@@ -133,34 +109,29 @@ class _Dinic:
                             queue.append(w)
             if level[t] < 0:
                 return total
-            it = list(start[:n])
+            it = [0] * self.n
             while True:
                 path: list[int] = []
                 v = s
-                dead = False
                 while v != t:
-                    advanced = False
-                    i = it[v]
-                    end = start[v + 1]
-                    while i < end:
-                        a = flat[i]
-                        if cap[a] > 0 and level[to[a]] == level[v] + 1:
-                            advanced = True
+                    arcs, i = out[v], it[v]
+                    want = level[v] + 1
+                    while i < len(arcs):
+                        a = arcs[i]
+                        if cap[a] > 0 and level[to[a]] == want:
+                            it[v] = i
+                            path.append(a)
+                            v = to[a]
                             break
                         i += 1
-                    it[v] = i
-                    if advanced:
-                        path.append(flat[i])
-                        v = to[flat[i]]
                     else:
+                        # a dead end; at level -1 the scan one step back
+                        # passes over it
                         level[v] = -1
                         if not path:
-                            dead = True
                             break
-                        a = path.pop()
-                        v = to[a ^ 1]
-                        it[v] += 1
-                if dead:
+                        v = to[path.pop() ^ 1]
+                if v != t:
                     break
                 aug = min(cap[a] for a in path)
                 for a in path:
@@ -209,14 +180,16 @@ def _feasible(net: FlowNetwork) -> tuple[_Dinic, int] | None:
     dinic = _Dinic(num_nodes + 2, to, cap)
     if dinic.max_flow(ss, tt) < required:
         return None
-    value = dinic.flow_on(closure)
+    value = cap[2 * closure + 1]
     for a in range(closure, len(to) // 2):
         dinic.disable_arc(a)
     return dinic, value
 
 
 def _flows(net: FlowNetwork, dinic: _Dinic) -> list[int]:
-    return [lower + dinic.flow_on(i) for i, (_t, _h, lower, _u) in enumerate(net.arcs)]
+    """Flow per arc of `net`: its lower bound plus its reverse residual."""
+    flows = dinic.cap[1 : 2 * len(net.arcs) : 2]
+    return [arc[2] + f for arc, f in zip(net.arcs, flows)]
 
 
 def solve_flow_with_bounds(net: FlowNetwork) -> list[int] | None:

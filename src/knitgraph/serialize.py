@@ -181,15 +181,21 @@ def parse_document(data: bytes | str) -> GraphDocument:
     return GraphDocument(graph, layout, meta)
 
 
-def _col_to_json(col: Fraction):
+def _col_to_json(v: int, col: Fraction):
     if col.denominator == 1:
         return int(col)
-    return float(col)
+    value = float(col)
+    # `_parse_col` reads the column back as Fraction(repr(value))
+    if Fraction(repr(value)) != col:
+        raise ValueError(f"layout[{v}]: column {col} cannot be written exactly")
+    return value
 
 
 def serialize_json(
     obj: GraphDocument | DirectedKnitGraph | YarnGraph, *, indent: int | None = None
 ) -> bytes:
+    """The document as JSON; ValueError for a layout column that would not
+    read back as itself."""
     if not isinstance(obj, GraphDocument):
         obj = GraphDocument(obj)
     graph, layout, meta = obj.graph, obj.layout, obj.meta
@@ -207,7 +213,7 @@ def serialize_json(
         ]
     if layout is not None:
         doc["layout"] = {
-            str(v): [row, _col_to_json(col)] for v, (row, col) in sorted(layout.items())
+            str(v): [row, _col_to_json(v, col)] for v, (row, col) in sorted(layout.items())
         }
     if meta:
         doc["meta"] = meta

@@ -184,36 +184,21 @@ def minimum_yarns(y: YarnGraph) -> tuple[int, TrailDecomposition]:
     return len(trails), tuple(trails)
 
 
-def eulerian_path(y: YarnGraph, component: list[int] | None = None) -> Trail:
+def eulerian_path(y: YarnGraph) -> Trail:
     """Single directed trail using every arc once (Hierholzer construction).
 
-    Restricted to `component`'s vertices when given. Raises
-    NoEulerianPathError with the imbalance list or a disconnection verdict.
+    Raises NoEulerianPathError with a disconnection verdict when the arcs
+    span more than one weak component, else with the imbalance list.
     """
-    if component is None:
-        comps = _weak_components(y)
-        if len(comps) > 1:
-            raise NoEulerianPathError("disconnected")
-        comp = comps[0] if comps else []
-    else:
-        comp_set = set(component)
-        if any((src in comp_set) != (dst in comp_set) for src, dst in y.arcs):
-            raise NoEulerianPathError("disconnected", "arcs leave the component")
-        comp = [v for v in range(y.n) if v in comp_set]
-
-    # No arc leaves `comp`, so its vertices' degrees are those of the graph.
-    degrees = y.degrees()
-    bearing = [v for v in comp if degrees[v] != (0, 0)]
-    if not bearing:
+    comps = _weak_components(y)
+    if len(comps) > 1:
+        raise NoEulerianPathError("disconnected")
+    if not comps:
         return Trail((), ())
-    excess = [o - i for i, o in degrees]
-    imbalances = [(v, excess[v]) for v in comp if excess[v]]
+    imbalances = [(v, o - i) for v, (i, o) in enumerate(y.degrees()) if o != i]
     if sorted(d for _, d in imbalances) not in ([], [-1], [1], [-1, 1]):
         raise NoEulerianPathError("imbalance", imbalances)
-
-    # A component that falls apart leaves arcs no splice reaches, which
-    # `_component_trails` reports as disconnected.
-    (trail,) = _component_trails(y, [bearing])
+    (trail,) = _component_trails(y, comps)
     return trail
 
 

@@ -122,6 +122,24 @@ def test_cablewidth(tmp_path, capsys):
     assert json.loads(out)["cable_width"] == 1
 
 
+def test_cablewidth_names_a_shared_position_by_row_and_column(tmp_path, capsys):
+    path = tmp_path / "shared.json"
+    path.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "directed": True,
+                "edges": [{"src": 0, "dst": 1, "color": "blue"}],
+                "layout": {"0": [3, 0.5], "1": [3, 0.5]},
+            }
+        )
+    )
+    code, out, err = run(capsys, "cablewidth", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: degenerate layout at row 3, column 1/2: two vertices share a position\n"
+
+
 @pytest.mark.parametrize("command", ["rows", "classify", "cablewidth"])
 @pytest.mark.parametrize(
     "layout",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -423,7 +424,7 @@ def _tagged_solve(n, arcs, minimum):
             dinic.disable_arc(a)
         dinic.max_flow(2 * n + 3, 2 * n)
     return [
-        arc[2] + (0 if a is None else dinic.flow_on(a)) for arc, a in zip(arcs, arc_map)
+        arc[2] + (0 if a is None else dinic.cap[2 * a + 1]) for arc, a in zip(arcs, arc_map)
     ]
 
 
@@ -529,6 +530,42 @@ def test_flow_range_infeasible_and_pinned():
     # exact super bounds pin the range to a single value
     exact = build_flow_network(gen_stockinette(3, 3, round=True).graph, 1)
     assert solve_flow_range(exact) == (1, 1)
+
+
+@st.composite
+def capacitated_digraphs(draw):
+    """2 <= n <= 8 nodes and up to 20 arcs `(tail, head, capacity)`, with
+    parallel and antiparallel arcs and capacities 0-5."""
+    n = draw(st.integers(2, 8))
+    arc = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), st.integers(0, 5))
+    return n, [(u, (u + d) % n, c) for u, d, c in draw(st.lists(arc, max_size=20))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacitated_digraphs())
+def test_max_flow_core_matches_networkx(case):
+    # the core on its own, against an independent max-flow value; the flow
+    # on arc i is read from its reverse residual
+    n, arcs = case
+    to, cap = [], []
+    for tail, head, c in arcs:
+        to += (head, tail)
+        cap += (c, 0)
+    dinic = flows_module._Dinic(n, to, cap)
+    value = dinic.max_flow(0, n - 1)
+    reference = nx.DiGraph()
+    reference.add_nodes_from(range(n))
+    for tail, head, c in arcs:
+        merged = reference.get_edge_data(tail, head, {"capacity": 0})["capacity"] + c
+        reference.add_edge(tail, head, capacity=merged)
+    assert value == nx.maximum_flow_value(reference, 0, n - 1)
+    inflow = [0] * n
+    for i, (tail, head, c) in enumerate(arcs):
+        flow = dinic.cap[2 * i + 1]
+        assert 0 <= flow <= c
+        inflow[head] += flow
+        inflow[tail] -= flow
+    assert inflow == [-value] + [0] * (n - 2) + [value]
 
 
 def test_sweep_on_a_round_and_the_empty_graph():

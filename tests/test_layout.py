@@ -327,6 +327,39 @@ def test_crossing_graph_degenerate_error_points():
     assert info.value.point is None
 
 
+@pytest.mark.parametrize(
+    "g, layout, message",
+    [
+        (
+            KnittingGraph(6, ((0, 1), (2, 3), (4, 5))),
+            {0: (0, 0), 1: (2, 1), 2: (0, 1), 3: (2, 0), 4: (1, 0), 5: (1, 1)},
+            "degenerate layout at row 1, column 1/2: three edges concurrent",
+        ),
+        (
+            KnittingGraph(3, ((0, 1),)),
+            {0: (0, 0), 1: (2, 1), 2: (1, Fraction(1, 2))},
+            "degenerate layout at row 1, column 1/2: vertex 2 lies on edge (0, 1)",
+        ),
+        (
+            KnittingGraph(2, ()),
+            {0: (0, Fraction(1, 2)), 1: (0, Fraction(1, 2))},
+            "degenerate layout at row 0, column 1/2: two vertices share a position",
+        ),
+        (
+            KnittingGraph(2, ()),
+            {0: (0, 0)},
+            "degenerate layout: vertex 1 missing from layout",
+        ),
+    ],
+    ids=["concurrent", "vertex-on-edge", "shared-position", "missing-vertex"],
+)
+def test_degenerate_layout_message_reads_row_then_column(g, layout, message):
+    # the message follows the file's [row, column] order; `.point` stays (x, y)
+    with pytest.raises(DegenerateLayoutError) as info:
+        crossing_graph(g, layout)
+    assert str(info.value) == message
+
+
 def test_cable_width_plane_drawing():
     f = gen_stockinette(4, 4)
     assert cable_width(f.graph, f.layout) == 0

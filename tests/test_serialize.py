@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -115,6 +116,20 @@ def test_layout_round_trip_keeps_fractions():
         )
     )
     assert kfb_doc.layout == all_fixtures()[2].layout
+
+
+@pytest.mark.parametrize("col", [Fraction(1, 2), Fraction(3, 5), Fraction(-7, 4)])
+def test_layout_column_with_an_exact_spelling_round_trips(col):
+    doc = GraphDocument(DirectedKnitGraph(2, ((0, 1, B),)), {0: (0, 0), 1: (1, col)}, {})
+    assert parse_document(serialize_json(doc)).layout[1] == (1, col)
+
+
+def test_layout_column_without_an_exact_spelling_is_refused():
+    # 1/3 would be written as 0.3333333333333333 and read back as a different column
+    layout = {0: (0, 0), 1: (1, Fraction(1, 3))}
+    doc = GraphDocument(DirectedKnitGraph(2, ((0, 1, B),)), layout, {})
+    with pytest.raises(ValueError, match=r"^layout\[1\]: column 1/3 cannot be written exactly$"):
+        serialize_json(doc)
 
 
 def test_dot_chain():

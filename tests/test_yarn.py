@@ -162,16 +162,6 @@ def test_is_yarn_graph_brioche_needs_four():
     assert not is_yarn_graph_of_k_knittable(br.yarn, 3).ok
 
 
-def test_eulerian_with_explicit_component():
-    y = YarnGraph(5, ((0, 1), (1, 0), (3, 4)))
-    left = eulerian_path(y, component=[0, 1])
-    assert left.vertices == (0, 1, 0)
-    right = eulerian_path(y, component=[3, 4])
-    assert right.vertices == (3, 4)
-    with pytest.raises(NoEulerianPathError):
-        eulerian_path(y, component=[0, 1, 3])  # the (3,4) arc leaves the component
-
-
 def _weak_components_reference(y):
     """The dict-and-set component search that `component_labels` replaced."""
     neighbors = {}
@@ -303,22 +293,15 @@ def _minimum_yarns_reference(y):
     return len(trails), tuple(trails)
 
 
-def _eulerian_path_reference(y, component=None):
+def _eulerian_path_reference(y):
     """`eulerian_path` with its own component searches and walker set-up,
     kept as the oracle for the shared helpers."""
-    if component is None:
-        comps = _weak_components_reference(y)
-        if len(comps) > 1:
-            raise NoEulerianPathError("disconnected")
-        if not comps:
-            return Trail((), ())
-        comp = comps[0]
-    else:
-        comp = sorted(component)
-        comp_set = set(comp)
-        sub = [a for a in y.arcs if a[0] in comp_set or a[1] in comp_set]
-        if any(a[0] not in comp_set or a[1] not in comp_set for a in sub):
-            raise NoEulerianPathError("disconnected", "arcs leave the component")
+    comps = _weak_components_reference(y)
+    if len(comps) > 1:
+        raise NoEulerianPathError("disconnected")
+    if not comps:
+        return Trail((), ())
+    comp = comps[0]
 
     comp_set = set(comp)
     outdeg = {v: 0 for v in comp}
@@ -401,10 +384,9 @@ def _triangle_chain(k):
 
 
 @st.composite
-def _multigraph_and_component(draw):
+def _multigraph(draw):
     """A yarn multigraph on n <= 7 vertices, half the time with every arc
-    doubled by its reversal so that trails exist, and an optional subset of
-    the vertices, in any order."""
+    doubled by its reversal so that trails exist."""
     n = draw(st.integers(0, 7))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda a: a[0] != a[1]
@@ -413,41 +395,28 @@ def _multigraph_and_component(draw):
     if draw(st.booleans()):
         arcs += [(d, s) for s, d in arcs]
         arcs = draw(st.permutations(arcs))
-    component = None
-    if draw(st.booleans()):
-        component = draw(st.lists(st.integers(0, n - 1), unique=True)) if n else []
-    return YarnGraph(n, tuple(arcs)), component
+    return YarnGraph(n, tuple(arcs))
 
 
 @settings(max_examples=1500, deadline=None)
-@given(_multigraph_and_component())
+@given(_multigraph())
 # components whose leftovers need many splices, which the small drawn
 # graphs never reach
-@example((_flower(1), None))
-@example((_flower(2), None))
-@example((_flower(50), None))
-@example((_flower(400), None))
-@example((_cycle_with_circuits(60, 2), None))
-@example((_cycle_with_circuits(60, 3), None))
-@example((_triangle_chain(60), None))
-def test_eulerian_path_and_minimum_yarns_match_reference(case):
-    y, component = case
-    got = _outcome(lambda: eulerian_path(y, component))
-    assert got == _outcome(lambda: _eulerian_path_reference(y, component))
-    if component is None:
-        assert _outcome(lambda: minimum_yarns(y)) == _outcome(lambda: _minimum_yarns_reference(y))
+@example(_flower(1))
+@example(_flower(2))
+@example(_flower(50))
+@example(_flower(400))
+@example(_cycle_with_circuits(60, 2))
+@example(_cycle_with_circuits(60, 3))
+@example(_triangle_chain(60))
+def test_eulerian_path_and_minimum_yarns_match_reference(y):
+    assert _outcome(lambda: eulerian_path(y)) == _outcome(lambda: _eulerian_path_reference(y))
+    assert _outcome(lambda: minimum_yarns(y)) == _outcome(lambda: _minimum_yarns_reference(y))
 
 
 def test_eulerian_path_error_precedence():
-    # without a component, disconnection is reported before imbalance
+    # disconnection is reported before imbalance
     split_fan = YarnGraph(5, ((0, 1), (0, 2), (3, 4)))
     with pytest.raises(NoEulerianPathError) as exc:
         eulerian_path(split_fan)
-    assert exc.value.reason == "disconnected"
-    # with one, imbalance is reported before disconnection
-    with pytest.raises(NoEulerianPathError) as exc:
-        eulerian_path(split_fan, component=[0, 1, 2, 3, 4])
-    assert exc.value.reason == "imbalance"
-    with pytest.raises(NoEulerianPathError) as exc:
-        eulerian_path(YarnGraph(4, ((0, 1), (1, 0), (2, 3), (3, 2))), [0, 1, 2, 3])
     assert exc.value.reason == "disconnected"
