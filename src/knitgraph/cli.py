@@ -2,8 +2,9 @@
 
 Exit status: 0 affirmative/success, 1 negative answer (infeasible, invalid
 witness, not planar), 2 invalid input, usage, or any other error (one line
-on stderr, no traceback). Results go to stdout, diagnostics to stderr;
---json switches stdout to machine-readable form.
+on stderr, no traceback), 141 (128 + SIGPIPE) when the reader closed stdout
+before the answer was written (nothing on stderr). Results go to stdout,
+diagnostics to stderr; --json switches stdout to machine-readable form.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 
 from .cover import (
@@ -42,6 +44,7 @@ from .yarn import is_yarn_graph_of_k_knittable, minimum_yarns
 OK = 0
 NEGATIVE = 1
 ERROR = 2
+BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 NOT_A_COVER = "meta.threads must split the vertices into paths along arcs"
 
@@ -410,7 +413,8 @@ def main(argv: list[str] | None = None) -> int:
 
     The parser is built on the first call and reused after it. Any
     exception other than the expected input errors also exits 2 with one
-    line on stderr, so status 1 only ever means a negative verdict.
+    line on stderr, so status 1 only ever means a negative verdict. A
+    reader that closes stdout early gets 141 and nothing on stderr.
 
     The command runs with the cyclic garbage collector paused, and the
     caller's setting is restored on every exit. A command allocates one
@@ -428,7 +432,17 @@ def main(argv: list[str] | None = None) -> int:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        status = args.func(args)
+        if sys.stdout is not None:  # None when fd 1 was closed at start-up
+            sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # The answer is unread, not wrong. Point fd 1 at devnull so the
+        # interpreter's final flush of what is still buffered stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except (KnitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except Exception as exc:

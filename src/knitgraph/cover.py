@@ -107,21 +107,25 @@ def _assemble_network(
     Arcs in order: the n split arcs (arc v joins v_in to v_out), the thread
     arcs u_out -> v_in in edge order, the source arcs s_out -> v_in, the
     sink arcs v_out -> t_in, then the super arcs s_in -> s_out and
-    t_in -> t_out.
+    t_in -> t_out. Every tail and head is taken from one list of node ids,
+    so all arcs at a node share a single int object.
     """
     may_leave = [Role.S in r or Role.M in r for r in roles]
     may_enter = [Role.M in r or Role.T in r for r in roles]
     net = FlowNetwork(g.n)
-    net.arcs += [(2 * v, 2 * v + 1, 1, 1) for v in range(g.n)]
+    node = list(range(net.num_nodes))
+    ins, outs = node[0 : 2 * g.n : 2], node[1 : 2 * g.n : 2]
+    s_out, t_in = node[net.s_out], node[net.t_in]
+    net.arcs += [(v_in, v_out, 1, 1) for v_in, v_out in zip(ins, outs)]
     net.arcs += [
-        (2 * src + 1, 2 * dst, 0, 1)
+        (outs[src], ins[dst], 0, 1)
         for src, dst, _color in g.edges
         if may_leave[src] and may_enter[dst]
     ]
-    net.arcs += [(net.s_out, 2 * v, 0, 1) for v in range(g.n) if Role.S in roles[v]]
-    net.arcs += [(2 * v + 1, net.t_in, 0, 1) for v in range(g.n) if Role.T in roles[v]]
-    net.add(net.s_in, net.s_out, lower, upper)
-    net.add(net.t_in, net.t_out, lower, upper)
+    net.arcs += [(s_out, v_in, 0, 1) for v_in, r in zip(ins, roles) if Role.S in r]
+    net.arcs += [(v_out, t_in, 0, 1) for v_out, r in zip(outs, roles) if Role.T in r]
+    net.add(node[net.s_in], s_out, lower, upper)
+    net.add(t_in, node[net.t_out], lower, upper)
     return net
 
 

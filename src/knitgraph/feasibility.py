@@ -27,6 +27,10 @@ class Role(Enum):
     M = "M"
     T = "T"
 
+    # Members are singletons compared by identity, so the C identity hash
+    # serves every set and dict lookup; Enum's own hashes the name in Python.
+    __hash__ = object.__hash__
+
 
 # (red-in, red-out) pairs realizable by the basic stitches:
 # (0,1) yarn-over, (1,0) top-row stitch, (1,1) knit, (1,2) front-and-back

@@ -25,6 +25,8 @@ Three solves share one feasibility routine:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import sub
 
 INF = 1 << 60
 
@@ -140,6 +142,50 @@ class _Dinic:
                 total += aug
 
 
+def _residual(net: FlowNetwork) -> tuple[list[int], list[int], int]:
+    """The residual arrays of the lower-bound elimination, and the flow its
+    helper arcs must carry for a feasible circulation to exist.
+
+    Residual pair i is arc i of `net`, entered as `(upper - lower, 0)`; pair
+    m = len(net.arcs) is the closure arc t_out -> s_in of unbounded
+    capacity; then, in node order, one helper arc from the super source to
+    each node with positive excess and from each node with negative excess
+    to the super sink. Both arrays are allocated at their final length, and
+    the arc slots of `to` hold the arcs' own node ints.
+    """
+    num_nodes = net.num_nodes
+    ss = num_nodes
+    tt = num_nodes + 1
+    m = len(net.arcs)
+    tails, heads, lowers, uppers = zip(*net.arcs) if m else ((), (), (), ())
+    residual = list(map(sub, uppers, lowers))
+    if residual and min(residual) < 0:
+        i = next(i for i, c in enumerate(residual) if c < 0)
+        raise ValueError(f"lower bound {lowers[i]} exceeds upper bound {uppers[i]}")
+    excess = [0] * num_nodes
+    for i in compress(range(m), lowers):
+        excess[heads[i]] += lowers[i]
+        excess[tails[i]] -= lowers[i]
+    size = 2 * (m + 1 + num_nodes - excess.count(0))
+    to = [0] * size
+    cap = [0] * size
+    to[0 : 2 * m : 2] = heads
+    to[1 : 2 * m : 2] = tails
+    cap[0 : 2 * m : 2] = residual
+    a = 2 * m
+    to[a], to[a + 1], cap[a] = net.s_in, net.t_out, INF
+    required = 0
+    for v, e in enumerate(excess):
+        if e > 0:
+            a += 2
+            to[a], to[a + 1], cap[a] = v, ss, e
+            required += e
+        elif e < 0:
+            a += 2
+            to[a], to[a + 1], cap[a] = tt, v, -e
+    return to, cap, required
+
+
 def _feasible(net: FlowNetwork) -> tuple[_Dinic, int] | None:
     """Lower-bound elimination and one feasibility max-flow, then the
     closure and helper arcs frozen.
@@ -151,35 +197,11 @@ def _feasible(net: FlowNetwork) -> tuple[_Dinic, int] | None:
     the arcs of `net`, so a max flow between the terminals now changes the
     throughput while every bound stays respected.
     """
-    num_nodes = net.num_nodes
-    ss = num_nodes
-    tt = num_nodes + 1
-    excess = [0] * num_nodes
-    to: list[int] = []
-    cap: list[int] = []
-    for tail, head, lower, upper in net.arcs:
-        if lower > upper:
-            raise ValueError(f"lower bound {lower} exceeds upper bound {upper}")
-        to += (head, tail)
-        cap += (upper - lower, 0)
-        if lower:
-            excess[head] += lower
-            excess[tail] -= lower
-    closure = len(net.arcs)
-    to += (net.s_in, net.t_out)
-    cap += (INF, 0)
-    required = 0
-    for v in range(num_nodes):
-        if excess[v] > 0:
-            to += (v, ss)
-            cap += (excess[v], 0)
-            required += excess[v]
-        elif excess[v] < 0:
-            to += (tt, v)
-            cap += (-excess[v], 0)
-    dinic = _Dinic(num_nodes + 2, to, cap)
-    if dinic.max_flow(ss, tt) < required:
+    to, cap, required = _residual(net)
+    dinic = _Dinic(net.num_nodes + 2, to, cap)
+    if dinic.max_flow(net.num_nodes, net.num_nodes + 1) < required:
         return None
+    closure = len(net.arcs)
     value = cap[2 * closure + 1]
     for a in range(closure, len(to) // 2):
         dinic.disable_arc(a)

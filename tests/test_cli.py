@@ -3,10 +3,15 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+import knitgraph
 from knitgraph import cli, gen_stitch_fixture, gen_stockinette, serialize_json
 from knitgraph import layout as layout_module
 from knitgraph.cli import build_parser, main
@@ -585,3 +590,24 @@ def test_no_collection_runs_during_a_command(tmp_path, capsys, collector):
         gc.callbacks.remove(probe)
     assert code == 0 and json.loads(capsys.readouterr().out)["meta"]["k"] == 1
     assert collections == []
+
+
+@pytest.mark.parametrize("side", [3, 30])  # answer buffered / larger than a pipe holds
+def test_closed_stdout_is_status_141_and_silent(tmp_path, capsys, side):
+    path = tmp_path / "round.json"
+    assert run(capsys, "gen", "--pattern", "stockinette", "--rows", str(side),
+               "--cols", str(side), "--round", "-o", str(path))[0] == 0
+    src = str(Path(knitgraph.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "knitgraph", "decide", "--k", "1", "--json", str(path)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == cli.BROKEN_PIPE == 141
+    assert done.stderr == b""

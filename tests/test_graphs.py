@@ -15,6 +15,7 @@ from knitgraph import (
     IndexOutOfRangeError,
     MultiplicityTooHighError,
     NotADagError,
+    Role,
     SelfLoopError,
     YarnGraph,
     brute_force_knittable,
@@ -459,3 +460,11 @@ def test_edge_color_hashes_by_identity():
         assert hash(color) == object.__hash__(color)
         assert color in {EdgeColor(color.value)}
         assert {color: 1}[EdgeColor(color.value)] == 1
+
+
+def test_role_hashes_by_identity():
+    assert Role.__hash__ is object.__hash__
+    for role in Role:
+        assert hash(role) == object.__hash__(role)
+        assert role in frozenset({Role(role.value)})
+        assert {role: 1}[Role(role.value)] == 1
