@@ -4,9 +4,9 @@ The network is the split-vertex construction used by the thread decision:
 each graph vertex v becomes v_in/v_out joined by a mandatory unit arc, and
 designated super source/sink node pairs carry the thread count. Solving
 uses the standard lower-bound elimination to a max-flow problem; max flow
-itself is a Dinic scheme over per-node residual lists, so ~10^5-vertex
-graphs stay well inside the performance budget. All arc orders are fixed,
-so results are deterministic.
+itself is a Dinic scheme over per-node residual adjacency arrays of machine
+ints, so ~10^5-vertex graphs stay well inside the time and memory budget.
+All arc orders are fixed, so results are deterministic.
 
 An arc is a plain `(tail, head, lower, upper)` tuple; what it stands for is
 read from the node numbering of `FlowNetwork`. Arc i of the network is arc
@@ -24,6 +24,7 @@ Three solves share one feasibility routine:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import sub
@@ -69,30 +70,30 @@ class FlowNetwork:
 
 
 class _Dinic:
-    """Max flow on per-node residual lists; arc i is the residual pair 2i
+    """Max flow on per-node residual adjacency; arc i is the residual pair 2i
     (forward) and 2i+1 (backward), so `to[2i]` is its head and `to[2i+1]`
     its tail. Every augmentation adds to one direction what it takes from
     the other, so an arc entered as `(c, 0)` carries flow `cap[2i+1]`.
 
     An arc with no capacity keeps its id but stays out of the adjacency:
     no augmenting path can use it, so the search order over the other arcs
-    is the same as if it were absent. Each node lists its arcs in id order.
+    is the same as if it were absent. Each node lists its arcs in id order
+    in an `array("q")`, one 8-byte machine int per entry rather than an int
+    object each (typecode `q`, since ids may pass 2^31); every node's array
+    is a copy of one empty template, which is cheaper than a constructor
+    call on small networks.
     """
 
     def __init__(self, n: int, to: list[int], cap: list[int]):
         self.n = n
         self.to = to
         self.cap = cap
-        self.out = out = [[] for _ in range(n)]
+        empty = array("q")
+        self.out = out = [empty[:] for _ in range(n)]
         for a in range(0, len(to), 2):
             if cap[a]:
                 out[to[a + 1]].append(a)
                 out[to[a]].append(a + 1)
-
-    def disable_arc(self, arc_id: int):
-        """Zero both residual directions of the forward arc `arc_id`."""
-        self.cap[2 * arc_id] = 0
-        self.cap[2 * arc_id + 1] = 0
 
     def max_flow(self, s: int, t: int) -> int:
         to, cap, out = self.to, self.cap, self.out
@@ -201,10 +202,9 @@ def _feasible(net: FlowNetwork) -> tuple[_Dinic, int] | None:
     dinic = _Dinic(net.num_nodes + 2, to, cap)
     if dinic.max_flow(net.num_nodes, net.num_nodes + 1) < required:
         return None
-    closure = len(net.arcs)
-    value = cap[2 * closure + 1]
-    for a in range(closure, len(to) // 2):
-        dinic.disable_arc(a)
+    frozen = 2 * len(net.arcs)
+    value = cap[frozen + 1]
+    cap[frozen:] = [0] * (len(cap) - frozen)
     return dinic, value
 
 
@@ -248,16 +248,14 @@ def solve_flow_range(net: FlowNetwork) -> tuple[int, int] | None:
     form an integer interval (Hoffman's circulation theorem plus flow
     integrality; Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 6), so
     every value between the two returned ends is feasible as well. Costs one
-    feasibility max-flow plus two terminal max-flows from the same feasible
-    circulation: t_out -> s_in lowers it to the minimum, s_in -> t_out on the
-    restored residual raises it to the maximum. None when infeasible.
+    feasibility max-flow plus two terminal max-flows: t_out -> s_in lowers
+    the feasible circulation to the minimum, then s_in -> t_out raises that
+    one to the maximum, since a max flow between the terminals reaches the
+    greatest throughput from any feasible circulation. None when infeasible.
     """
     feasible = _feasible(net)
     if feasible is None:
         return None
     dinic, value = feasible
-    residual = dinic.cap.copy()
     least = value - dinic.max_flow(net.t_out, net.s_in)
-    dinic.cap[:] = residual
-    greatest = value + dinic.max_flow(net.s_in, net.t_out)
-    return least, greatest
+    return least, least + dinic.max_flow(net.s_in, net.t_out)

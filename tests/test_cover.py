@@ -424,7 +424,7 @@ def _tagged_solve(n, arcs, minimum):
         return None
     if minimum:
         for a in range(closure, len(cap) // 2):
-            dinic.disable_arc(a)
+            cap[2 * a] = cap[2 * a + 1] = 0
         dinic.max_flow(2 * n + 3, 2 * n)
     return [
         arc[2] + (0 if a is None else dinic.cap[2 * a + 1]) for arc, a in zip(arcs, arc_map)
@@ -555,6 +555,13 @@ def test_max_flow_core_matches_networkx(case):
         to += (head, tail)
         cap += (c, 0)
     dinic = flows_module._Dinic(n, to, cap)
+    # the adjacency as per-node lists appended in id order: the search order
+    adjacency = [[] for _ in range(n)]
+    for i, (tail, head, c) in enumerate(arcs):
+        if c:
+            adjacency[tail].append(2 * i)
+            adjacency[head].append(2 * i + 1)
+    assert [list(arcs_at) for arcs_at in dinic.out] == adjacency
     value = dinic.max_flow(0, n - 1)
     reference = nx.DiGraph()
     reference.add_nodes_from(range(n))
@@ -642,6 +649,28 @@ def test_residual_arrays_and_solves_match_the_grown_builder(net):
     assert got == want
 
 
+def _restored_flow_range(net):
+    """The range solve with both terminal flows started from the feasible
+    circulation, the capacities copied and restored between them. The
+    oracle for `solve_flow_range`, which starts the second from the least
+    circulation."""
+    feasible = flows_module._feasible(net)
+    if feasible is None:
+        return None
+    dinic, value = feasible
+    residual = dinic.cap.copy()
+    least = value - dinic.max_flow(net.t_out, net.s_in)
+    dinic.cap[:] = residual
+    return least, value + dinic.max_flow(net.s_in, net.t_out)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(bounded_networks(), small_dags(max_n=8).map(_path_cover_network)))
+@example(_path_cover_network(gen_stockinette(6, 6, round=True).graph))
+def test_flow_range_matches_the_restored_residual_oracle(net):
+    assert _outcome(solve_flow_range, net) == _outcome(_restored_flow_range, net)
+
+
 def test_network_keeps_one_int_per_node():
     g = gen_stockinette(4, 5, round=True).graph
     net = _path_cover_network(g)
@@ -654,8 +683,9 @@ def test_network_keeps_one_int_per_node():
 
 def test_path_cover_peak_memory_per_arc():
     # tracemalloc's peak over one minimum_path_cover, per network arc: about
-    # 280 B on CPython 3.11 with one int per node and residual arrays sized
-    # once, 336 B when each arc held its own node ints and the arrays grew
+    # 213 B on CPython 3.11 with the Dinic adjacency in typed arrays, 280 B
+    # when it held a list of int objects per node, 336 B when each arc also
+    # held its own node ints and the residual arrays grew
     g = gen_stockinette(60, 60, round=True).graph
     g = DirectedKnitGraph(g.n, tuple((s, d, U) for s, d, _ in g.edges))
     arcs = len(_path_cover_network(g).arcs)
@@ -665,7 +695,7 @@ def test_path_cover_peak_memory_per_arc():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / arcs <= 315
+    assert peak / arcs <= 240
 
 
 def test_sweep_on_a_round_and_the_empty_graph():
