@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import networkx as nx
-
 from .errors import (
     BlueCrossingError,
     DegenerateLayoutError,
@@ -36,18 +34,25 @@ from .graphs import (
     EdgeColor,
     KnittingGraph,
     component_labels,
-    underlying_knitting_graph,
 )
 from .serialize import Layout
 
 
-def is_planar(kg: KnittingGraph) -> bool:
-    """Exact planarity; the Euler bound m <= 3n-6 prunes dense graphs first."""
-    if kg.n >= 3 and kg.m > 3 * kg.n - 6:
+def is_planar(g: DirectedKnitGraph | KnittingGraph) -> bool:
+    """Exact planarity of the graph with directions and colors dropped; the
+    Euler bound m <= 3n-6 prunes dense graphs first.
+
+    A knit graph has at most one edge per vertex pair, so its edge count is
+    that of its underlying simple graph.
+    """
+    if g.n >= 3 and g.m > 3 * g.n - 6:
         return False
+    # imported on first use, so a command that never gets here does not load it
+    import networkx as nx
+
     graph = nx.Graph()
-    graph.add_nodes_from(range(kg.n))
-    graph.add_edges_from(kg.edges)
+    graph.add_nodes_from(range(g.n))
+    graph.add_edges_from(edge[:2] for edge in g.edges)
     ok, _embedding = nx.check_planarity(graph, counterexample=False)
     return ok
 
@@ -64,7 +69,7 @@ def is_planar_with_layout(g: DirectedKnitGraph, layout: Layout | None) -> bool:
                 return True
         except DegenerateLayoutError:
             pass
-    return is_planar(underlying_knitting_graph(g))
+    return is_planar(g)
 
 
 @dataclass(frozen=True)
@@ -311,9 +316,7 @@ def classify_complexity(
         has_crossings = bool(cg.links)
     # crossing_graph rejects every degenerate drawing, so a layout without
     # crossings is a plane straight-line drawing: the graph is planar
-    planar = (layout is not None and not has_crossings) or is_planar(
-        underlying_knitting_graph(g)
-    )
+    planar = (layout is not None and not has_crossings) or is_planar(g)
 
     if multi_orientation:
         cls = ComplexityClass.CLASS3

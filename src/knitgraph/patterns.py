@@ -230,17 +230,17 @@ def all_fixtures() -> list[Fixture]:
 _TOKENS = {0: "yo", 1: "k", 2: "k2tog", 3: "k3tog"}
 
 
-def emit_instructions(fixture: Fixture) -> str:
-    """Knitting text for a single-thread fixture, one line per row.
+def emit_instructions(g: DirectedKnitGraph, cover: ThreadCover) -> str:
+    """Knitting text for a single-thread cover of g, one line per row, such
+    as a generated piece's or the witness of `decide_k_knittable(g, 1)`.
 
     The token per stitch follows its loop in-degree (0 yo, 1 k, 2 k2tog,
     3 k3tog); a stitch sharing its loop parent with an earlier sibling is
     the increase's second leg and is annotated as such.
     """
-    if len(fixture.cover) != 1:
-        raise NotSingleThreadError(len(fixture.cover))
-    thread = fixture.cover[0]
-    g = fixture.graph
+    if len(cover) != 1:
+        raise NotSingleThreadError(len(cover))
+    thread = cover[0]
 
     loop_parents: dict[int, list[int]] = {v: [] for v in thread}
     children_seen: dict[int, int] = {}

@@ -9,9 +9,10 @@ Schema (UTF-8 JSON):
               "labels": {..}?, ...}}             # optional, open
 
 A multigraph document parses to a YarnGraph (colors must be null); anything
-else parses to a DirectedKnitGraph. n is at most MAX_VERTICES. meta.k, when
-set, is a non-negative int, meta.threads a list of lists of vertex ids in
-[0, n) and meta.multi_orientation a bool; null means unset.
+else parses to a DirectedKnitGraph. n is at most MAX_VERTICES. meta, when
+not null, is an object. meta.k, when set, is a non-negative int,
+meta.threads a list of lists of vertex ids in [0, n) and
+meta.multi_orientation a bool; null means unset.
 External vertex labels, when present in meta.labels, are preserved verbatim
 in the parsed document.
 """
@@ -167,8 +168,10 @@ def parse_document(data: bytes | str) -> GraphDocument:
             missing = next(v for v in range(n) if v not in layout)
             raise SchemaError(f"layout: vertex {missing} has no position")
 
-    meta = raw.get("meta") or {}
-    if not isinstance(meta, dict):
+    meta = raw.get("meta")
+    if meta is None:
+        meta = {}
+    elif not isinstance(meta, dict):
         raise SchemaError("meta: expected an object")
     _check_meta(meta, n)
 

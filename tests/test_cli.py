@@ -13,7 +13,6 @@ import pytest
 
 import knitgraph
 from knitgraph import cli, gen_stitch_fixture, gen_stockinette, serialize_json
-from knitgraph import layout as layout_module
 from knitgraph.cli import build_parser, main
 
 
@@ -304,7 +303,18 @@ def test_planar_and_hamiltonian(round33, capsys):
     assert json.loads(out)["order"] == list(range(9))
 
 
-def test_planar_reads_a_crossing_free_drawing_first(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "command, out_wanted",
+    [
+        ("planar", "planar\n"),
+        ("classify", "class0 (planar=True, red-crossings=False, blue-crossings=False)\n"),
+        ("rows", "4\n"),
+    ],
+    ids=["planar", "classify", "rows"],
+)
+def test_planar_reads_a_crossing_free_drawing_first(
+    tmp_path, capsys, monkeypatch, command, out_wanted
+):
     flat, cable = tmp_path / "flat.json", tmp_path / "c1b.json"
     run(capsys, "gen", "--pattern", "stockinette", "--rows", "4", "--cols", "4", "-o", str(flat))
     run(capsys, "gen", "--pattern", "c1b", "-o", str(cable))
@@ -317,8 +327,9 @@ def test_planar_reads_a_crossing_free_drawing_first(tmp_path, capsys, monkeypatc
     def refuse(*_args, **_kwargs):
         raise AssertionError("networkx planarity test ran")
 
-    monkeypatch.setattr(layout_module.nx, "check_planarity", refuse)
-    assert run(capsys, "planar", str(flat)) == (0, "planar\n", "")
+    # `is_planar` imports networkx when it runs, so the patch goes on the package
+    monkeypatch.setattr(nx, "check_planarity", refuse)
+    assert run(capsys, command, str(flat)) == (0, out_wanted, "")
 
 
 @pytest.mark.parametrize(
@@ -391,6 +402,7 @@ _ROUND33 = json.loads(serialize_json(gen_stockinette(3, 3, round=True).graph))
         (["validate"], {"edges": [{"src": 0, "dst": 1, "color": {}}]}),
         (["validate"], {"edges": _CHAIN, "meta": {"k": "x"}}),
         (["validate"], {"edges": _CHAIN, "meta": {"k": True}}),
+        (["validate", "--json"], {"edges": _CHAIN, "meta": []}),
         (["yarn", "check"], {"multigraph": True, "edges": [{"src": 0, "dst": 1}],
                              "meta": {"k": "q"}}),
         (["rows", "--json"], {"edges": _CHAIN, "layout": _LAYOUT, "meta": {"threads": 5}}),
@@ -410,7 +422,8 @@ _ROUND33 = json.loads(serialize_json(gen_stockinette(3, 3, round=True).graph))
         (["yarn", "min-k"], {"directed": False, "multigraph": True,
                              "edges": [{"src": 0, "dst": 1}]}),
     ],
-    ids=["color-list", "color-dict", "k-str", "k-bool", "yarn-k-str", "threads-int",
+    ids=["color-list", "color-dict", "k-str", "k-bool", "meta-empty-list", "yarn-k-str",
+         "threads-int",
          "threads-str-id", "threads-repeat-vertex", "threads-miss-vertices",
          "threads-share-vertex", "threads-step-off-arcs", "threads-step-against-arcs",
          "threads-empty-thread", "multi-orientation-str", "multi-orientation-int",

@@ -2,17 +2,21 @@
 
 A helper that another module needs gets a public name, and imports from
 sibling modules sit at module level, where the dependencies of a module
-can be read at a glance.
+can be read at a glance. networkx is the exception the other way: only
+the planarity test needs it, so importing the CLI must not load it.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "knitgraph").glob("*.py"))
+SRC = Path(__file__).parent.parent / "src"
+SOURCES = sorted((SRC / "knitgraph").glob("*.py"))
 
 
 def _sibling_imports(tree: ast.Module):
@@ -55,3 +59,15 @@ def test_no_sibling_imports_inside_functions(path):
 
 def test_sources_are_found():
     assert {"cli.py", "graphs.py", "yarn.py"} <= {p.name for p in SOURCES}
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # only a planarity test that a drawing does not settle imports networkx
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import knitgraph.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(SRC)], capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

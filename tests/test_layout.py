@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_dag
 from knitgraph import (
     BlueCrossingError,
     ComplexityClass,
@@ -16,6 +17,7 @@ from knitgraph import (
     NotPlanarLayoutError,
     NotSingleThreadError,
     RedRule,
+    all_fixtures,
     cable_width,
     check_simple_knittable,
     classify_complexity,
@@ -151,6 +153,22 @@ def test_planarity_accepts_fixtures_and_trees():
     tree = KnittingGraph(5, ((0, 1), (0, 2), (1, 3), (1, 4)))
     assert is_planar(tree)
     assert is_planar(KnittingGraph(1, ()))
+
+
+def test_planarity_of_a_directed_graph_is_that_of_its_underlying_graph(rng):
+    graphs = [f.graph for f in all_fixtures()]
+    graphs += [gen_brioche_maximal(14).graph, gen_stockinette(6, 7, round=True).graph]
+    # at n <= 9 most of these stay under the Euler bound, planar or not,
+    # so networkx decides them
+    graphs += [random_dag(rng, rng.randint(1, 9), rng.choice([0.3, 0.6, 0.8])) for _ in range(60)]
+    # colored edges, as a witness carries them
+    graphs += [
+        DirectedKnitGraph(g.n, tuple((s, d, (B, R, P)[(s + d) % 3]) for s, d, _ in g.edges))
+        for g in graphs[-20:]
+    ]
+    answers = [is_planar(g) for g in graphs]
+    assert answers == [is_planar(underlying_knitting_graph(g)) for g in graphs]
+    assert True in answers and False in answers
 
 
 def test_crossing_graph_stockinette_is_empty():

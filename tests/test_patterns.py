@@ -7,7 +7,6 @@ from knitgraph import (
     ComplexityClass,
     DirectedKnitGraph,
     EdgeColor,
-    Fixture,
     MAX_VERTICES,
     NotSingleThreadError,
     RedRule,
@@ -22,7 +21,7 @@ from knitgraph import (
     yarn_from_threads,
 )
 
-B, R, P = EdgeColor.BLUE, EdgeColor.RED, EdgeColor.PURPLE
+B, R, P, U = EdgeColor.BLUE, EdgeColor.RED, EdgeColor.PURPLE, EdgeColor.UNCOLORED
 
 
 def test_flat_3x3_reference_edge_set():
@@ -123,31 +122,40 @@ def test_fixture_yarn_is_derived_from_threads():
 
 
 def test_emit_flat_2x3():
-    text = emit_instructions(gen_stockinette(2, 3))
+    f = gen_stockinette(2, 3)
+    text = emit_instructions(f.graph, f.cover)
     assert text.splitlines() == ["row 1: yo yo yo", "row 2: k k k"]
 
 
 def test_emit_kfb_annotates_second_leg():
-    lines = emit_instructions(gen_stitch_fixture("kfb")).splitlines()
+    f = gen_stitch_fixture("kfb")
+    lines = emit_instructions(f.graph, f.cover).splitlines()
     assert len(lines) == 3
     assert "kfb-second-leg" in lines[1]
     assert sum(line.count("kfb-second-leg") for line in lines) == 1
 
 
 def test_emit_k2tog():
-    lines = emit_instructions(gen_stitch_fixture("k2tog")).splitlines()
+    f = gen_stitch_fixture("k2tog")
+    lines = emit_instructions(f.graph, f.cover).splitlines()
     assert "k2tog" in lines[2]
 
 
 def test_emit_single_vertex():
-    g = DirectedKnitGraph(1, ())
-    f = Fixture(
-        "dot", g, ((0,),), None, yarn_from_threads(g, ((0,),)),
-        ComplexityClass.CLASS0, 1, RedRule.STRICT,
-    )
-    assert emit_instructions(f) == "row 1: yo"
+    assert emit_instructions(DirectedKnitGraph(1, ()), ((0,),)) == "row 1: yo"
 
 
 def test_emit_needs_single_thread():
+    f = gen_brioche_maximal(6)
     with pytest.raises(NotSingleThreadError):
-        emit_instructions(gen_brioche_maximal(6))
+        emit_instructions(f.graph, f.cover)
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 3), (3, 3), (4, 5), (6, 2)])
+def test_emit_from_decide_witness_matches_generator(rows, cols):
+    # the text of a decided single-thread witness is the generated piece's
+    f = gen_stockinette(rows, cols, round=True)
+    uncolored = DirectedKnitGraph(f.graph.n, tuple((s, d, U) for s, d, _ in f.graph.edges))
+    assert emit_instructions(*decide_k_knittable(uncolored, 1)) == emit_instructions(
+        f.graph, f.cover
+    )

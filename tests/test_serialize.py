@@ -231,6 +231,13 @@ def test_meta_threads_must_be_lists_of_vertex_ids(threads, message):
         parse_document(_doc([], {"threads": threads}))
 
 
+@pytest.mark.parametrize("meta", [[], 0, False, ""], ids=repr)
+def test_falsy_meta_that_is_not_an_object_is_schema_error(meta):
+    # only a missing meta or null reads as no metadata
+    with pytest.raises(SchemaError, match="^meta: expected an object$"):
+        parse_document(_doc([], meta))
+
+
 def test_meta_k_and_threads_accepted():
     for meta in ({"k": 0, "threads": [[0, 1], [2], []]}, {"k": None, "threads": None}, {"k": 7},
                  {"multi_orientation": True}, {"multi_orientation": False},
