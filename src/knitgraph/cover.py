@@ -234,8 +234,6 @@ def sweep_feasible_k(g: DirectedKnitGraph, rule: RedRule = RedRule.STRICT) -> li
     on the relaxed network find it, instead of one decision per k. Raises
     NotADagError and PurplePresentError as `decide_k_knittable` does.
     """
-    if g.n == 0:  # no k to try, so nothing is checked, as with one decision per k
-        return []
     topological_sort(g)
     try:
         roles = _threadable_roles(g, rule)
@@ -256,8 +254,6 @@ def minimum_path_cover(g: DirectedKnitGraph) -> tuple[int, ThreadCover]:
     shrink the path count to its minimum.
     """
     topological_sort(g)
-    if g.n == 0:
-        return 0, ()
     all_roles = frozenset({Role.S, Role.M, Role.T})
     net = _assemble_network(g, [all_roles] * g.n, 0, g.n)
     solved = solve_minimum_flow(net)
@@ -305,6 +301,14 @@ def _iter_path_systems(n: int, adj: list[list[int]], k: int):
     yield from start_next(0, k, n)
 
 
+def _out_lists(g: DirectedKnitGraph) -> list[list[int]]:
+    """Heads of each vertex's out-arcs, ascending as the edges are sorted."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for s, d, _ in g.edges:
+        adj[s].append(d)
+    return adj
+
+
 def brute_force_knittable(
     g: DirectedKnitGraph | KnittingGraph,
     k: int,
@@ -326,15 +330,7 @@ def brute_force_knittable(
         return None
 
     directed = isinstance(g, DirectedKnitGraph)
-    if directed:
-        adj: list[list[int]] = [[] for _ in range(g.n)]
-        for s, d, _ in g.edges:
-            adj[s].append(d)
-        for lst in adj:
-            lst.sort()
-    else:
-        adj = [sorted(neighbors) for neighbors in g.adj()]
-
+    adj = _out_lists(g) if directed else [sorted(neighbors) for neighbors in g.adj()]
     for system in _iter_path_systems(g.n, adj, k):
         oriented = g
         if not directed:
@@ -360,11 +356,7 @@ def brute_force_minimum_path_cover(
         raise TooLargeError(g.n, cap)
     if g.n == 0:
         return 0, ()
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for s, d, _ in g.edges:
-        adj[s].append(d)
-    for lst in adj:
-        lst.sort()
+    adj = _out_lists(g)
     for k in range(1, g.n + 1):
         for system in _iter_path_systems(g.n, adj, k):
             return k, system

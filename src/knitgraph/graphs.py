@@ -49,6 +49,26 @@ LOOP_COLORS = frozenset({EdgeColor.RED, EdgeColor.PURPLE})
 ColoredEdge = tuple[int, int, EdgeColor]
 
 
+def _check_simple(n: int, edges) -> None:
+    """Raise for the first edge, in edge order, that is a self-loop, has an
+    end outside [0, n) or repeats an unordered pair; only the first two
+    fields of each edge are read, so colored arcs and plain pairs share it.
+    """
+    # Each unordered pair is keyed by one int, min * n + max; the key is
+    # taken after the range check, so distinct pairs get distinct keys.
+    seen_pairs: set[int] = set()
+    for edge in edges:
+        src, dst = edge[0], edge[1]
+        if src == dst:
+            raise SelfLoopError(src)
+        if not (0 <= src < n) or not (0 <= dst < n):
+            raise IndexOutOfRangeError(src if src >= n or src < 0 else dst, n)
+        pair = src * n + dst if src < dst else dst * n + src
+        if pair in seen_pairs:
+            raise DuplicateEdgeError(src, dst)
+        seen_pairs.add(pair)
+
+
 @dataclass(frozen=True)
 class DirectedKnitGraph:
     """Simple directed graph with an edge coloring.
@@ -61,19 +81,7 @@ class DirectedKnitGraph:
     edges: tuple[ColoredEdge, ...]
 
     def __post_init__(self):
-        n = self.n
-        # Each unordered pair is keyed by one int, min * n + max; the key is
-        # taken after the range check, so distinct pairs get distinct keys.
-        seen_pairs: set[int] = set()
-        for src, dst, _color in self.edges:
-            if src == dst:
-                raise SelfLoopError(src)
-            if not (0 <= src < n) or not (0 <= dst < n):
-                raise IndexOutOfRangeError(src if src >= n or src < 0 else dst, n)
-            pair = src * n + dst if src < dst else dst * n + src
-            if pair in seen_pairs:
-                raise DuplicateEdgeError(src, dst)
-            seen_pairs.add(pair)
+        _check_simple(self.n, self.edges)
         # Plain tuple order: the (src, dst) pairs are unique, so colors are
         # never compared.
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
@@ -123,19 +131,10 @@ class KnittingGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        seen: set[tuple[int, int]] = set()
-        normalized = []
-        for u, v in self.edges:
-            if u == v:
-                raise SelfLoopError(u)
-            if not (0 <= u < self.n) or not (0 <= v < self.n):
-                raise IndexOutOfRangeError(u if u >= self.n or u < 0 else v, self.n)
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise DuplicateEdgeError(u, v)
-            seen.add(e)
-            normalized.append(e)
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
+        _check_simple(self.n, self.edges)
+        object.__setattr__(
+            self, "edges", tuple(sorted((u, v) if u < v else (v, u) for u, v in self.edges))
+        )
 
     @property
     def m(self) -> int:
@@ -154,7 +153,7 @@ class YarnGraph:
     """Directed multigraph tracing the physical yarn.
 
     Arc order is significant: reduction uses first-traversal order to direct
-    loop edges when no thread order is supplied.
+    loop edges.
     """
 
     n: int
@@ -302,21 +301,14 @@ def underlying_knitting_graph(g: DirectedKnitGraph) -> KnittingGraph:
     return KnittingGraph(g.n, tuple((s, d) for s, d, _ in g.edges))
 
 
-def reduce_yarn_to_directed(
-    y: YarnGraph, hamiltonian_order: list[int] | None = None
-) -> DirectedKnitGraph:
+def reduce_yarn_to_directed(y: YarnGraph) -> DirectedKnitGraph:
     """Compress a yarn multigraph into one colored edge per vertex pair.
 
     Multiplicity 1 maps to a blue edge along the arc. Multiplicity 2 must be
-    one arc each way (a loop) and maps to red; the red direction follows the
-    supplied order, lower position to higher, or else the first-traversed
+    one arc each way (a loop) and maps to red along the first-traversed
     arc. Multiplicity 3 must split two-one and maps to purple along the
     majority (sequential) direction.
     """
-    pos: dict[int, int] = {}
-    if hamiltonian_order is not None:
-        pos = {v: i for i, v in enumerate(hamiltonian_order)}
-
     # Pair {a, b}, a < b, is keyed by the int a * n + b and counts its arcs
     # a -> b and b -> a, plus whether its first arc ran a -> b; dict order
     # is first-traversal order, so faults are reported in that order.
@@ -341,11 +333,7 @@ def reduce_yarn_to_directed(
         elif total == 2:
             if ahead != 1:
                 raise InconsistentPairError((a, b), "loop strands must run in opposite directions")
-            if pos:
-                along = pos.get(a, a) < pos.get(b, b)
-            else:
-                along = first_ahead
-            edges.append((a, b, EdgeColor.RED) if along else (b, a, EdgeColor.RED))
+            edges.append((a, b, EdgeColor.RED) if first_ahead else (b, a, EdgeColor.RED))
         else:  # total == 3: one loop pair plus the sequential strand
             if ahead not in (1, 2):
                 raise InconsistentPairError(

@@ -60,16 +60,12 @@ def is_planar(g: DirectedKnitGraph | KnittingGraph) -> bool:
 def is_planar_with_layout(g: DirectedKnitGraph, layout: Layout | None) -> bool:
     """Planarity of g, read from its drawing when that settles it.
 
-    A non-degenerate drawing without crossings is a plane straight-line
-    drawing, so it proves g planar; without one, `is_planar` decides.
+    A degenerate drawing raises DegenerateLayoutError, as `crossing_graph`
+    does for every command that reads a drawing. Any other drawing without
+    crossings is a plane straight-line drawing and proves g planar; with
+    crossings, or without a drawing, `is_planar` decides.
     """
-    if layout is not None:
-        try:
-            if not crossing_graph(g, layout).links:
-                return True
-        except DegenerateLayoutError:
-            pass
-    return is_planar(g)
+    return (layout is not None and not crossing_graph(g, layout).links) or is_planar(g)
 
 
 @dataclass(frozen=True)
@@ -194,10 +190,7 @@ def crossing_graph(
     O(m * n + m^2). An edge spanning r rows joins O(r) bands, so a drawing
     of long edges across many rows degrades towards the quadratic bound.
     """
-    if isinstance(g, KnittingGraph):
-        pairs = list(g.edges)
-    else:
-        pairs = [(s, d) for s, d, _ in g.edges]
+    pairs = [edge[:2] for edge in g.edges]
     missing = next((v for v in range(g.n) if v not in layout), g.n)
     points, scale = _scaled_points([layout[v] for v in range(missing)])
     # a duplicate before the first missing vertex is reported first
@@ -404,7 +397,8 @@ def count_rows(
     along the thread; without one, from the loop layering (each stitch one
     row above its loop parents). Stitches with no loop edges keep the
     current row in both schemes. Planarity is read as in
-    `is_planar_with_layout`.
+    `is_planar_with_layout`, so a degenerate drawing raises
+    DegenerateLayoutError.
     """
     thread = _thread_of(cover)
     if not is_planar_with_layout(g, layout):
@@ -431,30 +425,35 @@ def check_simple_knittable(g: DirectedKnitGraph, cover) -> SimplicityReport:
     Loop edges within one row band must be nested or parallel in thread
     order; each strictly interleaved pair (a < c < b < d) counts as one
     swap. With zero swaps the boustrophedon grid drawing is returned.
+
+    Each band's chords are sorted, and a chord is paired only with the
+    later chords that start inside it, so the count costs O(c log c) for
+    c chords plus one step per nested or interleaved pair of a band.
     """
     thread = _thread_of(cover)
     pos = {v: i for i, v in enumerate(thread)}
     rows = row_layers(g, thread)
     row_of = {v: rows[i] for i, v in enumerate(thread)}
 
-    chords: list[tuple[int, int, tuple[int, int]]] = []
+    bands: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for src, dst, color in g.edges:
         if color is not EdgeColor.RED:
             continue
         a, b = sorted((pos[src], pos[dst]))
         band = (min(row_of[src], row_of[dst]), max(row_of[src], row_of[dst]))
-        chords.append((a, b, band))
-    chords.sort()
+        bands.setdefault(band, []).append((a, b))
 
     swaps = 0
-    for i in range(len(chords)):
-        a, b, band = chords[i]
-        for j in range(i + 1, len(chords)):
-            c, d, band2 = chords[j]
-            if band2 != band:
-                continue
-            if a < c < b < d:
-                swaps += 1
+    for chords in bands.values():
+        chords.sort()
+        for i, (a, b) in enumerate(chords):
+            # later chords start at c >= a; past c >= b none can interleave
+            for j in range(i + 1, len(chords)):
+                c, d = chords[j]
+                if c >= b:
+                    break
+                if a < c and b < d:
+                    swaps += 1
 
     if swaps:
         return SimplicityReport(swaps, None)

@@ -11,7 +11,7 @@ fixtures anchor on cast-on or bind-off stitches and declare EXTENDED.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cover import ThreadCover
@@ -208,13 +208,8 @@ def gen_brioche_maximal(cols: int) -> Fixture:
 
 def all_fixtures() -> list[Fixture]:
     """The reference set used throughout the test suite."""
-    knit = gen_stockinette(3, 3, round=False)
-    knit = Fixture(
-        "knit", knit.graph, knit.cover, knit.layout, knit.yarn,
-        knit.expected_class, knit.k, knit.rule,
-    )
     return [
-        knit,
+        replace(gen_stockinette(3, 3), name="knit"),
         gen_stitch_fixture("yo"),
         gen_stitch_fixture("kfb"),
         gen_stitch_fixture("k2tog"),

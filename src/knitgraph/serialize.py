@@ -225,23 +225,16 @@ def serialize_json(
 
 def export_dot(graph: DirectedKnitGraph | YarnGraph | KnittingGraph) -> str:
     """GraphViz text; edge colors map to blue/red/purple, uncolored to gray."""
-    lines: list[str] = []
-    if isinstance(graph, KnittingGraph):
-        lines.append("graph knitting {")
-        for v in range(graph.n):
-            lines.append(f"  {v};")
-        for u, v in graph.edges:
-            lines.append(f"  {u} -- {v} [color=gray];")
+    undirected = isinstance(graph, KnittingGraph)
+    lines = ["graph knitting {" if undirected else "digraph knitting {"]
+    lines += [f"  {v};" for v in range(graph.n)]
+    if undirected:
+        lines += [f"  {u} -- {v} [color=gray];" for u, v in graph.edges]
+    elif isinstance(graph, YarnGraph):
+        lines += [f"  {s} -> {d} [color=gray];" for s, d in graph.arcs]
     else:
-        lines.append("digraph knitting {")
-        for v in range(graph.n):
-            lines.append(f"  {v};")
-        if isinstance(graph, YarnGraph):
-            for s, d in graph.arcs:
-                lines.append(f"  {s} -> {d} [color=gray];")
-        else:
-            for s, d, c in graph.edges:
-                color = _COLOR_TO_JSON[c] or "gray"
-                lines.append(f"  {s} -> {d} [color={color}];")
+        lines += [
+            f"  {s} -> {d} [color={_COLOR_TO_JSON[c] or 'gray'}];" for s, d, c in graph.edges
+        ]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -332,6 +332,51 @@ def test_planar_reads_a_crossing_free_drawing_first(
     assert run(capsys, command, str(flat)) == (0, out_wanted, "")
 
 
+def _drawn(n, blue, red, points):
+    """A document with blue thread arcs, red loop arcs and one (row, col)
+    point per vertex."""
+    edges = [{"src": s, "dst": d, "color": "blue"} for s, d in blue]
+    edges += [{"src": s, "dst": d, "color": "red"} for s, d in red]
+    layout = {str(v): list(p) for v, p in enumerate(points)}
+    return {"n": n, "directed": True, "edges": edges, "layout": layout}
+
+
+def _collapsed_flat33():
+    """Flat 3x3 with row 1 moved onto row 0, so stitch 3 sits on stitch 2."""
+    flat = gen_stockinette(3, 3)
+    doc = json.loads(serialize_json(knitgraph.GraphDocument(flat.graph, flat.layout)))
+    for v in ("3", "4", "5"):
+        doc["layout"][v][0] = 0
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, fault",
+    [
+        (_collapsed_flat33(), "two vertices share a position"),
+        (_drawn(3, [(0, 1), (1, 2)], [(0, 2)], [(0, 0), (0, 1), (0, 2)]), "vertex 1 lies on edge"),
+        # (0, 3), (1, 4) and (2, 5) all pass through row 1, column 1
+        (_drawn(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [(0, 3), (1, 4), (2, 5)],
+                [(0, 0), (0, 2), (1, 0), (2, 2), (2, 0), (1, 2)]),
+         "three edges concurrent"),
+    ],
+    ids=["shared-position", "vertex-on-edge", "concurrent"],
+)
+def test_every_command_that_reads_a_drawing_refuses_a_degenerate_one(
+    tmp_path, capsys, doc, fault
+):
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(doc))
+    errors = set()
+    for command in ("planar", "rows", "classify", "cablewidth"):
+        code, out, err = run(capsys, command, "--json", str(path))
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: degenerate layout") and err.count("\n") == 1, command
+        assert fault in err, command
+        errors.add(err)
+    assert len(errors) == 1
+
+
 @pytest.mark.parametrize(
     "command", [["decide"], ["decide", "--sweep"], ["cover"], ["hamiltonian"]],
     ids=["decide", "sweep", "cover", "hamiltonian"],

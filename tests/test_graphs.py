@@ -13,6 +13,7 @@ from knitgraph import (
     EdgeColor,
     InconsistentPairError,
     IndexOutOfRangeError,
+    KnittingGraph,
     MultiplicityTooHighError,
     NotADagError,
     Role,
@@ -196,11 +197,10 @@ def test_underlying_empty():
     assert underlying_knitting_graph(g).edges == ()
 
 
-def _reduce_by_frozensets(y, hamiltonian_order=None):
+def _reduce_by_frozensets(y):
     """`reduce_yarn_to_directed` as it was before its int keys and trusted
     build: a frozenset and a direction dict per pair, walked in order of
     first traversal, and the result validated again."""
-    pos = {v: i for i, v in enumerate(hamiltonian_order or ())}
     first_index, counts = {}, {}
     for i, (src, dst) in enumerate(y.arcs):
         pair = frozenset((src, dst))
@@ -220,10 +220,7 @@ def _reduce_by_frozensets(y, hamiltonian_order=None):
         elif total == 2:
             if len(by_dir) != 2:
                 raise InconsistentPairError((a, b), "loop strands must run in opposite directions")
-            if pos:
-                src, dst = (a, b) if pos.get(a, a) < pos.get(b, b) else (b, a)
-            else:
-                src, dst = y.arcs[first_index[pair]]
+            src, dst = y.arcs[first_index[pair]]
             edges.append((src, dst, R))
         else:
             majority = [d for d, c in by_dir.items() if c == 2]
@@ -238,8 +235,7 @@ def _reduce_by_frozensets(y, hamiltonian_order=None):
 @st.composite
 def _yarn_cases(draw):
     """A yarn multigraph on n <= 6 vertices whose arcs repeat a few pairs
-    in either direction, so every multiplicity and split shows up, plus an
-    optional full or partial thread order."""
+    in either direction, so every multiplicity and split shows up."""
     n = draw(st.integers(2, 6))
     pairs = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
@@ -249,17 +245,14 @@ def _yarn_cases(draw):
         st.tuples(st.sampled_from(pairs), st.booleans()).map(lambda c: c[0][::-1] if c[1] else c[0]),
         max_size=14,
     ))
-    order = draw(st.one_of(st.none(), st.permutations(range(n)).flatmap(
-        lambda perm: st.integers(0, n).map(lambda k: perm[:k]))))
-    return YarnGraph(n, tuple(arcs)), order
+    return YarnGraph(n, tuple(arcs))
 
 
 @settings(max_examples=600, deadline=None)
 @given(_yarn_cases())
-def test_reduce_matches_frozenset_oracle(case):
-    y, order = case
-    expected = _outcome(lambda: _reduce_by_frozensets(y, order))
-    got = _outcome(lambda: reduce_yarn_to_directed(y, order))
+def test_reduce_matches_frozenset_oracle(y):
+    expected = _outcome(lambda: _reduce_by_frozensets(y))
+    got = _outcome(lambda: reduce_yarn_to_directed(y))
     assert got == expected
 
 
@@ -268,10 +261,9 @@ def test_reduce_equals_a_validated_graph_on_fixtures():
 
     pieces = list(all_fixtures()) + [gen_stockinette(30, 33, round=True)]
     for f in pieces:
-        for order in (None, [v for t in f.cover for v in t]):
-            reduced = reduce_yarn_to_directed(f.yarn, order)
-            assert reduced == DirectedKnitGraph(reduced.n, reduced.edges[::-1]), f.name
-            assert reduced == _reduce_by_frozensets(f.yarn, order), f.name
+        reduced = reduce_yarn_to_directed(f.yarn)
+        assert reduced == DirectedKnitGraph(reduced.n, reduced.edges[::-1]), f.name
+        assert reduced == _reduce_by_frozensets(f.yarn), f.name
 
 
 def test_trusted_builds_keep_the_canonical_edge_order():
@@ -286,8 +278,7 @@ def test_trusted_builds_keep_the_canonical_edge_order():
 
     pieces = list(all_fixtures()) + [gen_stockinette(30, 33, round=True), gen_stockinette(5, 6)]
     for f in pieces:
-        for order in (None, [v for t in f.cover for v in t]):
-            assert canonical(reduce_yarn_to_directed(f.yarn, order)), f.name
+        assert canonical(reduce_yarn_to_directed(f.yarn)), f.name
         assert canonical(_witness(f.graph, f.cover)), f.name
     g = gen_stockinette(4, 5, round=True).graph
     for k in (1, 2, 4):  # the chain check, then the flow
@@ -325,12 +316,6 @@ def test_reduce_purple_majority_direction():
 def test_reduce_red_direction_follows_first_traversal():
     g = reduce_yarn_to_directed(YarnGraph(2, ((1, 0), (0, 1))))
     assert g.edges == ((1, 0, R),)
-
-
-def test_reduce_red_direction_follows_supplied_order():
-    # first-traversed arc points 1 -> 0, but the thread order says 0 before 1
-    g = reduce_yarn_to_directed(YarnGraph(2, ((1, 0), (0, 1))), hamiltonian_order=[0, 1])
-    assert g.edges == ((0, 1, R),)
 
 
 def test_graph_equality_ignores_edge_order():
@@ -386,10 +371,16 @@ def _edge_lists(draw):
 @settings(max_examples=600, deadline=None)
 @given(_edge_lists())
 def test_validation_matches_frozenset_oracle(case):
+    # both simple models share one check: the directed graph keeps its
+    # arcs sorted, the undirected one its sorted (min, max) pairs
     n, edges = case
     expected = _outcome(lambda: _validate_bruteforce(n, edges))
     got = _outcome(lambda: DirectedKnitGraph(n, tuple(edges)).edges)
     assert got == expected
+    pairs = tuple((s, d) for s, d, _ in edges)
+    if expected[0] == "ok":
+        expected = "ok", tuple(sorted((min(s, d), max(s, d)) for s, d, _ in expected[1]))
+    assert _outcome(lambda: KnittingGraph(n, pairs).edges) == expected
 
 
 def test_validation_oracle_covers_every_error():

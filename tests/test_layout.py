@@ -562,8 +562,12 @@ def _count_rows_by_sides_fraction(g, thread, layout):
 def _count_rows_networkx(g, cover, layout=None):
     """`count_rows` as it was before a drawing could prove planarity and
     before the side counter ran on the int drawing: the networkx test on
-    every call, then the `Fraction` side counter. The oracle of both."""
+    every call, then the `Fraction` side counter. The oracle of both. A
+    degenerate drawing is refused first, by the brute-force crossing
+    graph, as every command that reads a drawing refuses it."""
     thread = layout_module._thread_of(cover)
+    if layout is not None:
+        _crossing_graph_bruteforce(g, layout)
     if not is_planar(underlying_knitting_graph(g)):
         raise NotPlanarLayoutError()
     if not thread:
@@ -583,7 +587,8 @@ def _rows_outcome(count, g, cover, layout):
 @settings(max_examples=600, deadline=None)
 @given(drawings(), st.data())
 def test_count_rows_matches_networkx_oracle_on_random_drawings(drawing, data):
-    # degenerate, crossing and non-planar drawings all fall back to networkx
+    # degenerate drawings raise; crossing and non-planar ones fall back to
+    # networkx
     g, layout = drawing
     if isinstance(g, KnittingGraph):
         g = DirectedKnitGraph(g.n, tuple((u, w, R) for u, w in g.edges))
@@ -597,8 +602,8 @@ def test_count_rows_matches_networkx_oracle_on_random_drawings(drawing, data):
 @settings(max_examples=400, deadline=None)
 @given(drawings(), st.data())
 def test_side_counter_matches_fraction_reference_on_random_drawings(drawing, data):
-    # every drawing, degenerate and partial ones included: `rows` counts
-    # sides on a degenerate drawing once networkx finds the graph planar
+    # every drawing, degenerate and partial ones included, although
+    # `count_rows` refuses a degenerate drawing before it counts sides
     g, layout = drawing
     if isinstance(g, KnittingGraph):
         g = DirectedKnitGraph(g.n, tuple((u, w, R) for u, w in g.edges))
@@ -645,6 +650,79 @@ def test_simplicity_trivial_thread():
 def test_simplicity_round_is_not_simple():
     f = gen_stockinette(3, 3, round=True)
     assert check_simple_knittable(f.graph, f.cover).swaps > 0
+
+
+def _check_simple_knittable_quadratic(g, cover):
+    """`check_simple_knittable` as it was before it counted per band: every
+    chord against every later chord in the sorted list, O(c^2). The oracle
+    of the per-band count."""
+    thread = layout_module._thread_of(cover)
+    pos = {v: i for i, v in enumerate(thread)}
+    rows = row_layers(g, thread)
+    row_of = {v: rows[i] for i, v in enumerate(thread)}
+    chords = []
+    for src, dst, color in g.edges:
+        if color is not R:
+            continue
+        a, b = sorted((pos[src], pos[dst]))
+        band = (min(row_of[src], row_of[dst]), max(row_of[src], row_of[dst]))
+        chords.append((a, b, band))
+    chords.sort()
+    swaps = 0
+    for i in range(len(chords)):
+        a, b, band = chords[i]
+        for j in range(i + 1, len(chords)):
+            c, d, band2 = chords[j]
+            if band2 == band and a < c < b < d:
+                swaps += 1
+    if swaps:
+        return swaps, None
+    members = {}
+    for i, v in enumerate(thread):
+        members.setdefault(rows[i], []).append(v)
+    layout = {}
+    for row, vs in members.items():
+        for offset, v in enumerate(vs):
+            layout[v] = (row, Fraction(offset if row % 2 == 0 else len(vs) - 1 - offset))
+    return 0, layout
+
+
+@st.composite
+def _threaded_graphs(draw):
+    """A simple digraph on n <= 14 vertices in blue, red and purple, with
+    one thread through every vertex in a random order."""
+    n = draw(st.integers(1, 14))
+    candidates = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
+    edges = []
+    for (u, w), k in zip(candidates, keep):
+        if k:
+            color = draw(st.sampled_from([B, R, R, R, P]))
+            edges.append((w, u, color) if draw(st.booleans()) else (u, w, color))
+    thread = tuple(draw(st.permutations(range(n))))
+    return DirectedKnitGraph(n, tuple(edges)), (thread,)
+
+
+def _simplicity_outcome(g, cover):
+    report = check_simple_knittable(g, cover)
+    return report.swaps, report.layout
+
+
+@settings(max_examples=400, deadline=None)
+@given(_threaded_graphs())
+def test_simplicity_swaps_match_quadratic_oracle(case):
+    assert _simplicity_outcome(*case) == _check_simple_knittable_quadratic(*case)
+
+
+def test_simplicity_swaps_match_quadratic_oracle_on_pieces():
+    pieces = list(all_fixtures())
+    for rows, cols in ((2, 3), (5, 7), (12, 12), (20, 20)):
+        pieces += [gen_stockinette(rows, cols), gen_stockinette(rows, cols, round=True)]
+    for f in pieces:
+        cover = (tuple(v for t in f.cover for v in t),)
+        assert _simplicity_outcome(f.graph, cover) == (
+            _check_simple_knittable_quadratic(f.graph, cover)
+        ), f.name
 
 
 def test_random_grid_subgraphs_planar(rng):
