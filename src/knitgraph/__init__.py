@@ -30,7 +30,6 @@ from .graphs import (
     KnittingGraph,
     YarnGraph,
     component_labels,
-    is_dag,
     reduce_yarn_to_directed,
     topological_sort,
     underlying_knitting_graph,

@@ -111,13 +111,13 @@ def _cmd_validate(args) -> int:
     return OK
 
 
-def _emit_verdict(args, result) -> int:
+def _emit_verdict(args, k: int, result) -> int:
     """Print a k-thread verdict: the witness document, or the negative one."""
     if result is None:
-        _emit(args, {"feasible": False, "k": args.k}, "infeasible")
+        _emit(args, {"feasible": False, "k": k}, "infeasible")
         return NEGATIVE
     witness, cover = result
-    meta = {"k": args.k, "threads": [list(t) for t in cover]}
+    meta = {"k": k, "threads": [list(t) for t in cover]}
     print(serialize_json(GraphDocument(witness, None, meta)).decode())
     return OK
 
@@ -129,7 +129,8 @@ def _cmd_decide(args) -> int:
         ks = sweep_feasible_k(doc.graph, rule)
         _emit(args, {"feasible_k": ks}, "feasible k: " + (" ".join(map(str, ks)) or "none"))
         return OK if ks else NEGATIVE
-    return _emit_verdict(args, decide_k_knittable(doc.graph, args.k, rule))
+    k = 1 if args.k is None else args.k
+    return _emit_verdict(args, k, decide_k_knittable(doc.graph, k, rule))
 
 
 def _cmd_cover(args) -> int:
@@ -144,7 +145,7 @@ def _cmd_cover(args) -> int:
 def _cmd_oracle(args) -> int:
     doc = _load_knit(args.file)
     return _emit_verdict(
-        args, brute_force_knittable(doc.graph, args.k, _rule(args), cap=args.cap)
+        args, args.k, brute_force_knittable(doc.graph, args.k, _rule(args), cap=args.cap)
     )
 
 
@@ -324,8 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="decide exact-k thread feasibility of a DAG")
     p.add_argument("file")
-    p.add_argument("--k", type=_non_negative_int, default=1)
-    p.add_argument("--sweep", action="store_true", help="report every feasible k")
+    count = p.add_mutually_exclusive_group()
+    # default None, not 1: argparse tells a flag from its default by
+    # identity, so with default 1 it would let `--k 1 --sweep` through
+    count.add_argument("--k", type=_non_negative_int, help="thread count (default 1)")
+    count.add_argument("--sweep", action="store_true", help="report every feasible k")
     common(p)
     p.set_defaults(func=_cmd_decide)
 

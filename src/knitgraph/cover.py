@@ -301,14 +301,6 @@ def _iter_path_systems(n: int, adj: list[list[int]], k: int):
     yield from start_next(0, k, n)
 
 
-def _out_lists(g: DirectedKnitGraph) -> list[list[int]]:
-    """Heads of each vertex's out-arcs, ascending as the edges are sorted."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for s, d, _ in g.edges:
-        adj[s].append(d)
-    return adj
-
-
 def brute_force_knittable(
     g: DirectedKnitGraph | KnittingGraph,
     k: int,
@@ -330,7 +322,7 @@ def brute_force_knittable(
         return None
 
     directed = isinstance(g, DirectedKnitGraph)
-    adj = _out_lists(g) if directed else [sorted(neighbors) for neighbors in g.adj()]
+    adj = g.out_adj() if directed else g.adj()
     for system in _iter_path_systems(g.n, adj, k):
         oriented = g
         if not directed:
@@ -356,7 +348,7 @@ def brute_force_minimum_path_cover(
         raise TooLargeError(g.n, cap)
     if g.n == 0:
         return 0, ()
-    adj = _out_lists(g)
+    adj = g.out_adj()
     for k in range(1, g.n + 1):
         for system in _iter_path_systems(g.n, adj, k):
             return k, system

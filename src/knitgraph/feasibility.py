@@ -136,15 +136,26 @@ def thread_paths(g: DirectedKnitGraph) -> tuple[tuple[tuple[int, ...], ...], lis
     return tuple(paths), problems
 
 
+# The roles a stitch needs at each place on its thread, keyed by
+# (first on the thread, last on the thread).
+_POSITIONS = {
+    (True, True): ("one-stitch thread", frozenset({Role.S, Role.T})),
+    (True, False): ("thread start", frozenset({Role.S})),
+    (False, False): ("thread middle", frozenset({Role.M})),
+    (False, True): ("thread end", frozenset({Role.T})),
+}
+
+
 def check_coloring(
     g: DirectedKnitGraph, k: int, rule: RedRule = RedRule.STRICT
 ) -> ColoringReport:
     """Verify that a fully colored graph is a valid k-thread witness.
 
     The thread arcs must form exactly k vertex-disjoint directed paths
-    covering every vertex, and each vertex's red configuration must be
-    admissible for its position on its path. A purple arc is a thread step
-    that also adds one loop at each end (the flat-knitting turn).
+    covering every vertex, and each vertex must take the role of its place
+    on its path (start, middle, end, or both ends) under `classify_vertex`
+    on its red configuration plus its thread arcs. A purple arc is a thread
+    step that also adds one loop at each end (the flat-knitting turn).
     """
     if EdgeColor.UNCOLORED in g.colors():
         raise UncoloredPresentError()
@@ -163,29 +174,21 @@ def check_coloring(
     if len(paths) != k:
         problems.append(f"sequential edges form {len(paths)} threads, expected {k}")
 
-    indeg_out = g.degrees()
+    # A thread arc in or out is one more degree on top of the red counts,
+    # which already hold the purple arcs, so classify_vertex judges each
+    # vertex on its degrees as a thread stitch.
+    roles_of: dict[tuple[int, int], frozenset[Role]] = {}
     for path in paths:
-        if len(path) == 1:
-            v = path[0]
-            i, o = indeg_out[v]
-            roles = classify_vertex(i, o, rule)
-            if not (Role.S in roles and Role.T in roles):
+        last = len(path) - 1
+        for i, v in enumerate(path):
+            degrees = (red_in[v] + (i > 0), red_out[v] + (i < last))
+            roles = roles_of.get(degrees)
+            if roles is None:
+                roles = roles_of[degrees] = classify_vertex(*degrees, rule)
+            position, needs = _POSITIONS[i == 0, i == last]
+            if not needs <= roles:
                 problems.append(
-                    f"vertex {v} cannot form a one-stitch thread (degrees {i},{o})"
+                    f"vertex {v} cannot be a {position} with red configuration "
+                    f"({red_in[v]}, {red_out[v]}) under {rule.value}"
                 )
-            continue
-        for pos, v in enumerate(path):
-            cfg = (red_in[v], red_out[v])
-            if not red_config_allowed(*cfg, rule):
-                problems.append(
-                    f"vertex {v} has red configuration {cfg}, inadmissible under "
-                    f"{rule.value}"
-                )
-                continue
-            # Start stitches must be passed through later; end stitches must
-            # pass through an earlier one. Mirrors classify_vertex's clauses.
-            if pos == 0 and cfg[1] < 1:
-                problems.append(f"thread start {v} is never passed through")
-            if pos == len(path) - 1 and cfg[0] < 1:
-                problems.append(f"thread end {v} passes through nothing")
     return ColoringReport(not problems, k, paths, problems)

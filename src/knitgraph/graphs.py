@@ -69,6 +69,18 @@ def _check_simple(n: int, edges) -> None:
         seen_pairs.add(pair)
 
 
+def _degrees(n: int, edges) -> list[tuple[int, int]]:
+    """(indegree, outdegree) per vertex in [0, n); only the first two
+    fields of each edge are read, so colored arcs and plain pairs share it.
+    """
+    indeg = [0] * n
+    outdeg = [0] * n
+    for edge in edges:
+        outdeg[edge[0]] += 1
+        indeg[edge[1]] += 1
+    return list(zip(indeg, outdeg))
+
+
 @dataclass(frozen=True)
 class DirectedKnitGraph:
     """Simple directed graph with an edge coloring.
@@ -107,20 +119,16 @@ class DirectedKnitGraph:
     def colors(self) -> set[EdgeColor]:
         return {c for _, _, c in self.edges}
 
-    def out_adj(self) -> list[list[tuple[int, EdgeColor]]]:
-        adj: list[list[tuple[int, EdgeColor]]] = [[] for _ in range(self.n)]
-        for src, dst, color in self.edges:
-            adj[src].append((dst, color))
+    def out_adj(self) -> list[list[int]]:
+        """Heads of each vertex's out-arcs, ascending as the edges are sorted."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for src, dst, _ in self.edges:
+            adj[src].append(dst)
         return adj
 
     def degrees(self) -> list[tuple[int, int]]:
         """Total (indegree, outdegree) per vertex, colors ignored."""
-        indeg = [0] * self.n
-        outdeg = [0] * self.n
-        for src, dst, _ in self.edges:
-            outdeg[src] += 1
-            indeg[dst] += 1
-        return list(zip(indeg, outdeg))
+        return _degrees(self.n, self.edges)
 
 
 @dataclass(frozen=True)
@@ -141,6 +149,9 @@ class KnittingGraph:
         return len(self.edges)
 
     def adj(self) -> list[list[int]]:
+        """Neighbors of each vertex, ascending: the edges are sorted
+        (min, max) pairs, so v's smaller neighbors come first, in order,
+        then its larger ones."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
@@ -173,12 +184,7 @@ class YarnGraph:
         return len(self.arcs)
 
     def degrees(self) -> list[tuple[int, int]]:
-        indeg = [0] * self.n
-        outdeg = [0] * self.n
-        for src, dst in self.arcs:
-            outdeg[src] += 1
-            indeg[dst] += 1
-        return list(zip(indeg, outdeg))
+        return _degrees(self.n, self.arcs)
 
 
 def component_labels(n: int, pairs) -> list[int]:
@@ -286,14 +292,6 @@ def _find_cycle(g: DirectedKnitGraph, candidates: set[int]) -> list[int]:
         path.append(v)
         v = next(w for _, w, _ in g.edges[start[v]:start[v + 1]] if live[w])  # heads ascend
     return path[pos[v]:]
-
-
-def is_dag(g: DirectedKnitGraph) -> bool:
-    try:
-        topological_sort(g)
-        return True
-    except NotADagError:
-        return False
 
 
 def underlying_knitting_graph(g: DirectedKnitGraph) -> KnittingGraph:

@@ -25,6 +25,7 @@ from .errors import (
     DegenerateLayoutError,
     NotPlanarLayoutError,
     NotSingleThreadError,
+    UncoloredPresentError,
 )
 from .feasibility import RedRule, check_coloring, thread_paths
 from .graphs import (
@@ -78,20 +79,13 @@ class CrossingGraph:
     edge_pairs: tuple[tuple[int, int], ...]
     links: tuple[tuple[int, int], ...]  # index pairs into edge_pairs, i < j
 
-    def components(self) -> list[tuple[set[int], int]]:
-        """(node set, link count) per connected component, ordered by
-        smallest node."""
+    def max_component_links(self) -> int:
+        """Largest link count of a connected component, 0 without links."""
         labels = component_labels(len(self.edge_pairs), self.links)
-        comps: list[set[int]] = [set() for _ in range(max(labels, default=-1) + 1)]
-        for i, label in enumerate(labels):
-            comps[label].add(i)
-        link_counts = [0] * len(comps)
+        link_counts = [0] * len(labels)
         for i, _j in self.links:
             link_counts[labels[i]] += 1
-        return list(zip(comps, link_counts))
-
-    def max_component_links(self) -> int:
-        return max((links for _c, links in self.components()), default=0)
+        return max(link_counts, default=0)
 
 
 def _orient(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> int:
@@ -331,7 +325,8 @@ def _class0_configs_ok(g: DirectedKnitGraph, rule: RedRule) -> bool:
     return check_coloring(g, len(paths), rule).valid
 
 
-def _thread_of(cover) -> tuple[int, ...]:
+def single_thread(cover) -> tuple[int, ...]:
+    """The one thread of a cover; NotSingleThreadError for any other count."""
     if len(cover) != 1:
         raise NotSingleThreadError(len(cover))
     return tuple(cover[0])
@@ -357,7 +352,7 @@ def _count_rows_by_sides(
             a, b = points[thread[i - 1]], points[v]
         else:
             continue  # one-stitch thread: no direction, one row
-        for w, _color in out_adj[v]:  # heads ascending, as the edges are sorted
+        for w in out_adj[v]:  # heads ascending, as the edges are sorted
             if w == nxt:
                 continue  # thread edge, not a loop
             s = _orient(a, b, points[w])
@@ -369,18 +364,25 @@ def _count_rows_by_sides(
     return 1 + changes
 
 
+def loop_parents(g: DirectedKnitGraph, thread: tuple[int, ...]) -> dict[int, list[int]]:
+    """The tails of the loop arcs (red and purple) into each stitch of the
+    thread, ascending as the edges are sorted."""
+    parents: dict[int, list[int]] = {v: [] for v in thread}
+    for src, dst, color in g.edges:
+        if color in LOOP_COLORS and dst in parents:
+            parents[dst].append(src)
+    return parents
+
+
 def row_layers(g: DirectedKnitGraph, thread: tuple[int, ...]) -> list[int]:
     """Row index per thread position: a stitch sits one row above the
     stitches it passes through, and rows never decrease along the thread."""
-    loop_parents: dict[int, list[int]] = {v: [] for v in thread}
-    for src, dst, color in g.edges:
-        if color in LOOP_COLORS and dst in loop_parents:
-            loop_parents[dst].append(src)
+    parents = loop_parents(g, thread)
     rows_by_vertex: dict[int, int] = {}
     rows: list[int] = []
     for v in thread:
         row = rows[-1] if rows else 0
-        for u in loop_parents[v]:
+        for u in parents[v]:
             if u in rows_by_vertex:
                 row = max(row, rows_by_vertex[u] + 1)
         rows_by_vertex[v] = row
@@ -398,11 +400,14 @@ def count_rows(
     row above its loop parents). Stitches with no loop edges keep the
     current row in both schemes. Planarity is read as in
     `is_planar_with_layout`, so a degenerate drawing raises
-    DegenerateLayoutError.
+    DegenerateLayoutError. After those checks an uncolored arc raises
+    UncoloredPresentError: neither scheme can tell a loop without colors.
     """
-    thread = _thread_of(cover)
+    thread = single_thread(cover)
     if not is_planar_with_layout(g, layout):
         raise NotPlanarLayoutError()
+    if EdgeColor.UNCOLORED in g.colors():
+        raise UncoloredPresentError()
     if not thread:
         return 0
     if layout is not None:
@@ -430,7 +435,7 @@ def check_simple_knittable(g: DirectedKnitGraph, cover) -> SimplicityReport:
     later chords that start inside it, so the count costs O(c log c) for
     c chords plus one step per nested or interleaved pair of a band.
     """
-    thread = _thread_of(cover)
+    thread = single_thread(cover)
     pos = {v: i for i, v in enumerate(thread)}
     rows = row_layers(g, thread)
     row_of = {v: rows[i] for i, v in enumerate(thread)}

@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cover import ThreadCover
-from .errors import BadDimsError, NotSingleThreadError
-from .graphs import LOOP_COLORS, DirectedKnitGraph, EdgeColor, YarnGraph
+from .errors import BadDimsError
+from .graphs import DirectedKnitGraph, EdgeColor, YarnGraph
 from .feasibility import RedRule
-from .layout import ComplexityClass, row_layers
+from .layout import ComplexityClass, loop_parents, row_layers, single_thread
 from .serialize import MAX_VERTICES, Layout
 from .yarn import yarn_from_threads
 
@@ -233,20 +233,14 @@ def emit_instructions(g: DirectedKnitGraph, cover: ThreadCover) -> str:
     3 k3tog); a stitch sharing its loop parent with an earlier sibling is
     the increase's second leg and is annotated as such.
     """
-    if len(cover) != 1:
-        raise NotSingleThreadError(len(cover))
-    thread = cover[0]
-
-    loop_parents: dict[int, list[int]] = {v: [] for v in thread}
+    thread = single_thread(cover)
+    parents_of = loop_parents(g, thread)
     children_seen: dict[int, int] = {}
-    for src, dst, color in g.edges:
-        if color in LOOP_COLORS:
-            loop_parents[dst].append(src)
     rows = row_layers(g, thread)
 
     lines: dict[int, list[str]] = {}
     for i, v in enumerate(thread):
-        parents = loop_parents[v]
+        parents = parents_of[v]
         token = _TOKENS.get(len(parents), f"k{len(parents)}tog")
         for u in parents:
             if children_seen.get(u):

@@ -117,6 +117,34 @@ def test_rows(round33, capsys):
     assert json.loads(out)["rows"] == 3
 
 
+@pytest.mark.parametrize("drawn", [True, False], ids=["layout", "no-layout"])
+def test_rows_refuses_an_uncolored_piece(tmp_path, capsys, drawn):
+    # flat 3x3 with its colors set to null and its threads kept: the side
+    # counter and the loop layering would each take other arcs for loops
+    flat = tmp_path / "flat.json"
+    run(capsys, "gen", "--pattern", "stockinette", "--rows", "3", "--cols", "3", "-o", str(flat))
+    doc = json.loads(flat.read_text())
+    for edge in doc["edges"]:
+        edge["color"] = None
+    if not drawn:
+        del doc["layout"]
+    flat.write_text(json.dumps(doc))
+    assert run(capsys, "rows", "--json", str(flat)) == (
+        2, "", "error: graph must be fully colored\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags", [["--k", "2", "--sweep"], ["--sweep", "--k", "2"], ["--k", "1", "--sweep"]],
+    ids=["k-then-sweep", "sweep-then-k", "default-k"],
+)
+def test_decide_takes_k_or_sweep_not_both(round33, capsys, flags):
+    code, out, err = run(capsys, "decide", *flags, "--json", str(round33))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: knitgraph decide")
+    assert "not allowed with argument" in err
+
+
 def test_cablewidth(tmp_path, capsys):
     path = tmp_path / "c1b.json"
     code, _, _ = run(capsys, "gen", "--pattern", "c1b", "-o", str(path))

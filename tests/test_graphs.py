@@ -134,7 +134,7 @@ def _unsorted(g):
     out = g.out_adj()
     done = [v for v in range(g.n) if not indeg[v]]
     for v in done:
-        for w, _c in out[v]:
+        for w in out[v]:
             indeg[w] -= 1
             if not indeg[w]:
                 done.append(w)

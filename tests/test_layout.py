@@ -17,6 +17,7 @@ from knitgraph import (
     NotPlanarLayoutError,
     NotSingleThreadError,
     RedRule,
+    UncoloredPresentError,
     all_fixtures,
     cable_width,
     check_simple_knittable,
@@ -394,14 +395,13 @@ def test_cable_width_brioche_40():
 
 
 def test_crossing_graph_components_count_links_per_component():
+    # components {0, 1, 2} with 2 links, {3, 4} with 1 and {5} with none
     cg = CrossingGraph(tuple((v, v + 1) for v in range(6)), ((0, 1), (1, 2), (3, 4)))
-    assert cg.components() == [({0, 1, 2}, 2), ({3, 4}, 1), ({5}, 0)]
     assert cg.max_component_links() == 2
-    # components are ordered by their smallest node, whatever the link order
+    # {0, 3} with 1 link and {1, 4, 6} with 3, whatever the link order
     cg = CrossingGraph(tuple((v, v + 1) for v in range(7)), ((4, 6), (1, 6), (0, 3), (1, 4)))
-    assert cg.components() == [({0, 3}, 1), ({1, 4, 6}, 3), ({2}, 0), ({5}, 0)]
     assert cg.max_component_links() == 3
-    assert CrossingGraph((), ()).components() == []
+    assert CrossingGraph(((0, 1),), ()).max_component_links() == 0
     assert CrossingGraph((), ()).max_component_links() == 0
 
 
@@ -546,7 +546,7 @@ def _count_rows_by_sides_fraction(g, thread, layout):
             direction = (points[v][0] - points[prev][0], points[v][1] - points[prev][1])
         else:
             continue
-        for w, _color in sorted(out_adj[v], key=lambda e: e[0]):
+        for w in sorted(out_adj[v]):
             if w == nxt:
                 continue
             vec = (points[w][0] - points[v][0], points[w][1] - points[v][1])
@@ -564,12 +564,15 @@ def _count_rows_networkx(g, cover, layout=None):
     before the side counter ran on the int drawing: the networkx test on
     every call, then the `Fraction` side counter. The oracle of both. A
     degenerate drawing is refused first, by the brute-force crossing
-    graph, as every command that reads a drawing refuses it."""
-    thread = layout_module._thread_of(cover)
+    graph, as every command that reads a drawing refuses it; an uncolored
+    arc is refused after the planarity test."""
+    thread = layout_module.single_thread(cover)
     if layout is not None:
         _crossing_graph_bruteforce(g, layout)
     if not is_planar(underlying_knitting_graph(g)):
         raise NotPlanarLayoutError()
+    if U in g.colors():
+        raise UncoloredPresentError()
     if not thread:
         return 0
     if layout is not None:
@@ -656,7 +659,7 @@ def _check_simple_knittable_quadratic(g, cover):
     """`check_simple_knittable` as it was before it counted per band: every
     chord against every later chord in the sorted list, O(c^2). The oracle
     of the per-band count."""
-    thread = layout_module._thread_of(cover)
+    thread = layout_module.single_thread(cover)
     pos = {v: i for i, v in enumerate(thread)}
     rows = row_layers(g, thread)
     row_of = {v: rows[i] for i, v in enumerate(thread)}
