@@ -97,7 +97,7 @@ def _cmd_validate(args) -> int:
         valid = not problems
         payload = {
             "valid": valid,
-            "threads": report.path_count,
+            "threads": len(report.threads),
             "problems": problems,
         }
         _emit(args, payload, "valid witness" if valid else

@@ -256,10 +256,8 @@ def minimum_path_cover(g: DirectedKnitGraph) -> tuple[int, ThreadCover]:
     topological_sort(g)
     all_roles = frozenset({Role.S, Role.M, Role.T})
     net = _assemble_network(g, [all_roles] * g.n, 0, g.n)
-    solved = solve_minimum_flow(net)
-    if solved is None:  # cannot happen: singleton paths always cover
-        raise AssertionError("path cover network must be feasible")
-    value, flows = solved
+    # singleton paths always cover, so the network is feasible
+    value, flows = solve_minimum_flow(net)
     return value, extract_threads(net, flows)
 
 
@@ -343,13 +341,14 @@ def brute_force_knittable(
 def brute_force_minimum_path_cover(
     g: DirectedKnitGraph, cap: int = 10
 ) -> tuple[int, ThreadCover]:
-    """Smallest k admitting a path partition, by direct enumeration."""
+    """Smallest k admitting a path partition, by direct enumeration.
+
+    k = 0 partitions only the empty graph, and k = n always has the
+    singleton partition, so the search returns by k = n.
+    """
     if g.n > cap:
         raise TooLargeError(g.n, cap)
-    if g.n == 0:
-        return 0, ()
     adj = g.out_adj()
-    for k in range(1, g.n + 1):
+    for k in range(g.n + 1):
         for system in _iter_path_systems(g.n, adj, k):
             return k, system
-    raise AssertionError("singleton partition always exists")

@@ -84,16 +84,13 @@ def format_role_set(roles: frozenset[Role]) -> str:
 
 @dataclass
 class ColoringReport:
-    """Outcome of verifying a colored graph against a thread count."""
+    """Outcome of verifying a colored graph against a thread count, or
+    against any thread count when k is None."""
 
     valid: bool
-    k: int
+    k: int | None
     threads: tuple[tuple[int, ...], ...]
     problems: list[str] = field(default_factory=list)
-
-    @property
-    def path_count(self) -> int:
-        return len(self.threads)
 
 
 def thread_paths(g: DirectedKnitGraph) -> tuple[tuple[tuple[int, ...], ...], list[str]]:
@@ -147,15 +144,16 @@ _POSITIONS = {
 
 
 def check_coloring(
-    g: DirectedKnitGraph, k: int, rule: RedRule = RedRule.STRICT
+    g: DirectedKnitGraph, k: int | None, rule: RedRule = RedRule.STRICT
 ) -> ColoringReport:
     """Verify that a fully colored graph is a valid k-thread witness.
 
-    The thread arcs must form exactly k vertex-disjoint directed paths
-    covering every vertex, and each vertex must take the role of its place
-    on its path (start, middle, end, or both ends) under `classify_vertex`
-    on its red configuration plus its thread arcs. A purple arc is a thread
-    step that also adds one loop at each end (the flat-knitting turn).
+    The thread arcs must form vertex-disjoint directed paths covering every
+    vertex, exactly k of them unless k is None, and each vertex must take
+    the role of its place on its path (start, middle, end, or both ends)
+    under `classify_vertex` on its red configuration plus its thread arcs.
+    A purple arc is a thread step that also adds one loop at each end (the
+    flat-knitting turn).
     """
     if EdgeColor.UNCOLORED in g.colors():
         raise UncoloredPresentError()
@@ -171,7 +169,7 @@ def check_coloring(
             red_out[src] += 1
             red_in[dst] += 1
 
-    if len(paths) != k:
+    if k is not None and len(paths) != k:
         problems.append(f"sequential edges form {len(paths)} threads, expected {k}")
 
     # A thread arc in or out is one more degree on top of the red counts,

@@ -4,13 +4,13 @@ counting, and the zero-interleaving simplicity test.
 
 A layout maps each vertex to (row, column); rows are integers and columns
 exact rationals. Every test below runs on one int drawing: the columns
-(and any fractional rows) scaled by the LCM of their denominators, so
-every orientation test is exact on Python ints. The crossing graph tests
-only the edge pairs whose bounding boxes overlap, found by a sweep over
-row bands and x intervals. Vertices join the same sweep as one-point
-edges, so one search finds every vertex-edge and edge-edge incidence. On
-knit layouts, where edges are short, that is O((n + m) log(n + m)) plus
-the number of overlapping pairs.
+scaled by the LCM of their denominators, so every orientation test is
+exact on Python ints. The crossing graph tests only the edge pairs whose
+bounding boxes overlap, found by a sweep over row bands and x intervals.
+Vertices join the same sweep as one-point edges, so one search finds
+every vertex-edge and edge-edge incidence. On knit layouts, where edges
+are short, that is O((n + m) log(n + m)) plus the number of overlapping
+pairs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     NotSingleThreadError,
     UncoloredPresentError,
 )
-from .feasibility import RedRule, check_coloring, thread_paths
+from .feasibility import RedRule, check_coloring
 from .graphs import (
     LOOP_COLORS,
     THREAD_COLORS,
@@ -95,31 +95,27 @@ def _orient(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> int:
 
 def _scaled_points(
     positions: list[tuple[int, Fraction]],
-) -> tuple[list[tuple[int, int]], tuple[int, int]]:
-    """The int drawing: (x, y) per position, with columns times sx and rows
-    times sy, the LCMs of their denominators, and the scale (sx, sy).
+) -> tuple[list[tuple[int, int]], int]:
+    """The int drawing and its column scale sx: (x, y) per position, x the
+    column times sx, the LCM of the column denominators, and y the row,
+    which the schema already makes an int.
 
-    Scaling each axis by a positive factor keeps every orientation sign,
+    Scaling an axis by a positive factor keeps every orientation sign,
     betweenness and intersection, so every test of this module runs on
     ints; points go back to layout coordinates only for an error report.
     """
     # ints and Fractions carry their numerator and denominator already;
     # only other numbers, such as floats, are converted
     xs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for _r, c in positions]
-    ys = [r if isinstance(r, (int, Fraction)) else Fraction(r) for r, _c in positions]
     sx = math.lcm(*(x.denominator for x in xs))
-    sy = math.lcm(*(y.denominator for y in ys))
     points = [
-        (x.numerator * (sx // x.denominator), y.numerator * (sy // y.denominator))
-        for x, y in zip(xs, ys)
+        (x.numerator * (sx // x.denominator), r) for x, (r, _c) in zip(xs, positions)
     ]
-    return points, (sx, sy)
+    return points, sx
 
 
-def _unscale(
-    p: tuple[int, int], scale: tuple[int, int], den: int = 1
-) -> tuple[Fraction, Fraction]:
-    return (Fraction(p[0], scale[0] * den), Fraction(p[1], scale[1] * den))
+def _unscale(p: tuple[int, int], sx: int, den: int = 1) -> tuple[Fraction, Fraction]:
+    return (Fraction(p[0], sx * den), Fraction(p[1], den))
 
 
 def _candidate_pairs(
@@ -186,12 +182,12 @@ def crossing_graph(
     """
     pairs = [edge[:2] for edge in g.edges]
     missing = next((v for v in range(g.n) if v not in layout), g.n)
-    points, scale = _scaled_points([layout[v] for v in range(missing)])
+    points, sx = _scaled_points([layout[v] for v in range(missing)])
     # a duplicate before the first missing vertex is reported first
     taken: set[tuple[int, int]] = set()
     for p in points:
         if p in taken:
-            raise DegenerateLayoutError(_unscale(p, scale), "two vertices share a position")
+            raise DegenerateLayoutError(_unscale(p, sx), "two vertices share a position")
         taken.add(p)
     if missing < g.n:
         raise DegenerateLayoutError(None, f"vertex {missing} missing from layout")
@@ -206,7 +202,7 @@ def crossing_graph(
             (u, w), v = pairs[i], j - m
             if _orient(points[u], points[w], points[v]) == 0:
                 raise DegenerateLayoutError(
-                    _unscale(points[v], scale), f"vertex {v} lies on edge {(u, w)}"
+                    _unscale(points[v], sx), f"vertex {v} lies on edge {(u, w)}"
                 )
 
     links: list[tuple[int, int]] = []
@@ -240,7 +236,7 @@ def crossing_graph(
         edges_here.update((i, j))
         if len(edges_here) > 2:
             raise DegenerateLayoutError(
-                _unscale(cross[:2], scale, cross[2]), "three edges concurrent"
+                _unscale(cross[:2], sx, cross[2]), "three edges concurrent"
             )
     return CrossingGraph(tuple(pairs), tuple(links))
 
@@ -248,9 +244,14 @@ def crossing_graph(
 def cable_width(g: DirectedKnitGraph, layout: Layout) -> int:
     """Largest link count among crossing-graph components of the drawing.
 
-    Thread edges (blue and purple) must be pairwise non-crossing.
+    Thread edges (blue and purple) must be pairwise non-crossing. A
+    degenerate drawing raises DegenerateLayoutError; after that an
+    uncolored arc raises UncoloredPresentError, since it hides whether a
+    crossing is between threads.
     """
     cg = crossing_graph(g, layout)
+    if EdgeColor.UNCOLORED in g.colors():
+        raise UncoloredPresentError()
     edges = g.edges
     for i, j in cg.links:
         if edges[i][2] in THREAD_COLORS and edges[j][2] in THREAD_COLORS:
@@ -284,9 +285,10 @@ def classify_complexity(
 
     Declared multi-layer orientation metadata forces class 3. A drawing
     with crossings is class 2 (cables, brioche), as is a non-planar graph.
-    Otherwise the graph is class 0 when every stitch configuration is
-    admissible for its thread position, and class 1 when only planarity
-    holds.
+    Otherwise the graph is class 0 when its coloring passes
+    `check_coloring` for any thread count, and class 1 when only planarity
+    holds. A degenerate drawing raises DegenerateLayoutError; after that an
+    uncolored arc raises UncoloredPresentError, before any planarity test.
     """
     crossings_red = False
     crossings_blue = False
@@ -301,6 +303,7 @@ def classify_complexity(
             if involved & THREAD_COLORS:
                 crossings_blue = True
         has_crossings = bool(cg.links)
+    coloring = check_coloring(g, None, rule)
     # crossing_graph rejects every degenerate drawing, so a layout without
     # crossings is a plane straight-line drawing: the graph is planar
     planar = (layout is not None and not has_crossings) or is_planar(g)
@@ -309,20 +312,11 @@ def classify_complexity(
         cls = ComplexityClass.CLASS3
     elif has_crossings or not planar:
         cls = ComplexityClass.CLASS2
-    elif _class0_configs_ok(g, rule):
+    elif coloring.valid:
         cls = ComplexityClass.CLASS0
     else:
         cls = ComplexityClass.CLASS1
     return ComplexityReport(cls, planar, crossings_red, crossings_blue)
-
-
-def _class0_configs_ok(g: DirectedKnitGraph, rule: RedRule) -> bool:
-    if EdgeColor.UNCOLORED in g.colors():
-        return False
-    paths, problems = thread_paths(g)
-    if problems:
-        return False
-    return check_coloring(g, len(paths), rule).valid
 
 
 def single_thread(cover) -> tuple[int, ...]:
@@ -338,7 +332,7 @@ def _count_rows_by_sides(
     """Side-switch row count: classify each outgoing loop edge as left or
     right of the local thread direction; every switch, including the very
     first signal after cast-on, opens a row."""
-    points, _scale = _scaled_points([layout[v] for v in range(g.n)])
+    points, _sx = _scaled_points([layout[v] for v in range(g.n)])
     out_adj = g.out_adj()
     changes = 0
     side = 0

@@ -20,7 +20,7 @@ from .graphs import (
     component_labels,
     reduce_yarn_to_directed,
 )
-from .feasibility import RedRule, check_coloring, thread_paths
+from .feasibility import RedRule, check_coloring
 
 
 @dataclass(frozen=True)
@@ -228,15 +228,15 @@ def is_yarn_graph_of_k_knittable(
     except KnitError as exc:  # reduction errors are verdicts here, not crashes
         reasons.append(f"{type(exc).__name__}: {exc}")
         return YarnCheckReport(False, count, 0, reasons)
-    threads, problems = thread_paths(reduced)
-    if problems:
+    report = check_coloring(reduced, None, rule)
+    paths = len(report.threads)
+    # a graph with vertices has at least one path, so none means the
+    # thread arcs did not form vertex-disjoint paths
+    if reduced.n > 0 and not paths:
         reasons.append("sequential arcs do not form vertex-disjoint paths")
         return YarnCheckReport(False, count, 0, reasons)
-    paths = len(threads)
     if paths > k:
         reasons.append(f"sequential skeleton forms {paths} threads, only {k} allowed")
-    report = check_coloring(reduced, paths, rule)
-    if not report.valid:
-        reasons.extend(report.problems)
+    reasons.extend(report.problems)
     return YarnCheckReport(not reasons, count, paths, reasons)
 

@@ -16,6 +16,11 @@ from knitgraph import cli, gen_stitch_fixture, gen_stockinette, serialize_json
 from knitgraph.cli import build_parser, main
 
 
+_SHARED_POSITION = (
+    "error: degenerate layout at row 0, column 2: two vertices share a position\n"
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -117,21 +122,56 @@ def test_rows(round33, capsys):
     assert json.loads(out)["rows"] == 3
 
 
-@pytest.mark.parametrize("drawn", [True, False], ids=["layout", "no-layout"])
-def test_rows_refuses_an_uncolored_piece(tmp_path, capsys, drawn):
-    # flat 3x3 with its colors set to null and its threads kept: the side
-    # counter and the loop layering would each take other arcs for loops
+UNCOLORED = "error: graph must be fully colored\n"
+
+
+def _uncolored_flat33(tmp_path, capsys, drawing):
+    """Flat 3x3 with its colors set to null and its threads kept, with its
+    drawing ("layout"), without one ("none"), or with row 1 moved onto
+    row 0 ("collapsed", degenerate)."""
     flat = tmp_path / "flat.json"
     run(capsys, "gen", "--pattern", "stockinette", "--rows", "3", "--cols", "3", "-o", str(flat))
     doc = json.loads(flat.read_text())
     for edge in doc["edges"]:
         edge["color"] = None
-    if not drawn:
+    if drawing == "none":
         del doc["layout"]
+    elif drawing == "collapsed":
+        for v in ("3", "4", "5"):
+            doc["layout"][v][0] = 0
     flat.write_text(json.dumps(doc))
-    assert run(capsys, "rows", "--json", str(flat)) == (
-        2, "", "error: graph must be fully colored\n"
-    )
+    return flat
+
+
+@pytest.mark.parametrize("drawn", [True, False], ids=["layout", "no-layout"])
+def test_rows_refuses_an_uncolored_piece(tmp_path, capsys, drawn):
+    # the side counter and the loop layering would each take other arcs
+    # for loops
+    flat = _uncolored_flat33(tmp_path, capsys, "layout" if drawn else "none")
+    assert run(capsys, "rows", "--json", str(flat)) == (2, "", UNCOLORED)
+
+
+@pytest.mark.parametrize(
+    "command, drawing, err_wanted",
+    [
+        ("classify", "layout", UNCOLORED),
+        ("classify", "none", UNCOLORED),
+        ("cablewidth", "layout", UNCOLORED),
+        # the drawing is checked first
+        ("cablewidth", "none", "error: cablewidth needs a layout block in the input file\n"),
+        ("classify", "collapsed", _SHARED_POSITION),
+        ("cablewidth", "collapsed", _SHARED_POSITION),
+    ],
+    ids=["classify-layout", "classify-no-layout", "cablewidth-layout",
+         "cablewidth-no-layout", "classify-degenerate", "cablewidth-degenerate"],
+)
+def test_classify_and_cablewidth_refuse_an_uncolored_piece(
+    tmp_path, capsys, command, drawing, err_wanted
+):
+    # without colors no class can be read, and no crossing told to be
+    # between two threads
+    flat = _uncolored_flat33(tmp_path, capsys, drawing)
+    assert run(capsys, command, "--json", str(flat)) == (2, "", err_wanted)
 
 
 @pytest.mark.parametrize(
@@ -509,6 +549,43 @@ def test_bad_meta_and_colors_are_schema_errors(tmp_path, capsys, argv, doc):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_BRANCH = [{"src": 0, "dst": 1, "color": "blue"}, {"src": 0, "dst": 2, "color": "blue"}]
+_FORK = [{"src": 0, "dst": 1}, {"src": 0, "dst": 2}]
+
+
+@pytest.mark.parametrize(
+    "argv, doc, answer",
+    [
+        # blue arcs that branch and no meta.threads: no thread to read
+        (["rows"], {"edges": _BRANCH},
+         (2, "", "error: vertex 0 has two sequential out-edges\n")),
+        (["classify", "--json"], {"edges": _BRANCH},
+         (0, '{"class": "class1", "planar": true, "crossings_on_red": false, '
+             '"crossings_on_blue": false}\n', "")),
+        (["yarn", "check"], {"multigraph": True, "edges": _FORK},
+         (2, "", "error: no yarn count: pass --k or set meta.k\n")),
+        (["convert", "--to", "dot", "--underlying"], {"edges": _BRANCH},
+         (0, "graph knitting {\n  0;\n  1;\n  2;\n  0 -- 1 [color=gray];\n"
+             "  0 -- 2 [color=gray];\n}\n", "")),
+        (["hamiltonian"], {"edges": _FORK}, (1, "no hamiltonian path\n", "")),
+        (["hamiltonian", "--json"], {"edges": _FORK}, (1, '{"hamiltonian": false}\n', "")),
+        (["validate"], {"edges": _CHAIN, "layout": {**_LAYOUT, "2": [0, "a"]}},
+         (2, "", "error: layout[2]: column must be a number\n")),
+        (["validate"], {"edges": _CHAIN, "layout": {"0": [0, 0], "1": [0, 1], "x": [0, 2]}},
+         (2, "", "error: layout: non-integer vertex id 'x'\n")),
+        (["validate"], {"edges": _CHAIN, "layout": {**_LAYOUT, "2": [0.5, 2]}},
+         (2, "", "error: layout[2]: row must be an integer\n")),
+    ],
+    ids=["rows-branching-threads", "classify-branching-threads", "yarn-check-no-k",
+         "convert-dot-underlying", "hamiltonian-fork", "hamiltonian-fork-json",
+         "layout-column-str", "layout-key-str", "layout-row-fraction"],
+)
+def test_small_documents_get_exact_answers(tmp_path, capsys, argv, doc, answer):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"n": 3, "directed": True, **doc}))
+    assert run(capsys, *argv, str(path)) == answer
 
 
 @pytest.mark.parametrize("command", [["decide"], ["oracle"], ["yarn", "check"]],

@@ -336,8 +336,10 @@ def test_oracle_equivalence_exhaustive_n3():
 
 
 def test_min_cover_matches_brute_force(rng):
-    for _ in range(200):
-        g = random_dag(rng, rng.randint(1, 7), rng.random() * 0.6)
+    assert brute_force_minimum_path_cover(DirectedKnitGraph(0, ())) == (0, ())
+    graphs = [DirectedKnitGraph(0, ())]
+    graphs += [random_dag(rng, rng.randint(1, 7), rng.random() * 0.6) for _ in range(200)]
+    for g in graphs:
         assert minimum_path_cover(g)[0] == brute_force_minimum_path_cover(g)[0]
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -103,7 +104,7 @@ def test_check_coloring_round_stockinette():
     f = gen_stockinette(3, 3, round=True)
     report = check_coloring(f.graph, 1)
     assert report.valid
-    assert report.path_count == 1
+    assert len(report.threads) == 1
     assert report.threads == f.cover
 
 
@@ -150,8 +151,9 @@ def test_infeasible_degrees_reject_for_every_k():
 def _check_coloring_by_clauses(g, k, rule=RedRule.STRICT):
     """`check_coloring` as it was before it asked `classify_vertex`: a
     one-stitch thread judged on its total degrees, every other vertex on
-    its red configuration plus a clause each for thread starts and ends.
-    The oracle of the classify_vertex rule."""
+    its red configuration plus a clause each for thread starts and ends,
+    and the thread count checked unless k is None. The oracle of the
+    classify_vertex rule."""
     if U in g.colors():
         raise UncoloredPresentError()
     paths, problems = thread_paths(g)
@@ -163,7 +165,7 @@ def _check_coloring_by_clauses(g, k, rule=RedRule.STRICT):
         if color in LOOP_COLORS:
             red_out[src] += 1
             red_in[dst] += 1
-    if len(paths) != k:
+    if k is not None and len(paths) != k:
         problems.append(f"sequential edges form {len(paths)} threads, expected {k}")
     indeg_out = g.degrees()
     for path in paths:
@@ -204,6 +206,10 @@ def _assert_agrees_with_clauses(g, k, rule):
     assert report.threads == oracle.threads
     assert len(report.problems) == len(oracle.problems)
     assert _named_vertices(report.problems) == _named_vertices(oracle.problems)
+    if k is None:
+        # any thread count: the report for the count the threads have
+        counted = len(report.threads)
+        assert replace(report, k=counted) == check_coloring(g, counted, rule)
 
 
 @st.composite
@@ -234,7 +240,8 @@ def colored_digraphs(draw):
 @settings(max_examples=400, deadline=None)
 @given(colored_digraphs(), st.sampled_from(list(RedRule)), st.data())
 def test_check_coloring_matches_the_clause_oracle(g, rule, data):
-    _assert_agrees_with_clauses(g, data.draw(st.integers(0, g.n + 1)), rule)
+    k = data.draw(st.one_of(st.none(), st.integers(0, g.n + 1)))
+    _assert_agrees_with_clauses(g, k, rule)
 
 
 def test_check_coloring_matches_the_clause_oracle_on_fixtures():
@@ -244,7 +251,7 @@ def test_check_coloring_matches_the_clause_oracle_on_fixtures():
     ]
     for f in pieces:
         for rule in RedRule:
-            for k in (f.k, f.k + 1):
+            for k in (f.k, f.k + 1, None):
                 _assert_agrees_with_clauses(f.graph, k, rule)
 
 

@@ -448,7 +448,7 @@ def test_classify_star_stitch_like_is_class1():
 
 def test_classify_nonplanar_is_class2():
     k5_directed = DirectedKnitGraph(
-        5, tuple((i, j, U) for i in range(5) for j in range(i + 1, 5))
+        5, tuple((i, j, R) for i in range(5) for j in range(i + 1, 5))
     )
     report = classify_complexity(k5_directed)
     assert report.complexity is ComplexityClass.CLASS2
