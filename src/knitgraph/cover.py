@@ -104,11 +104,11 @@ def _assemble_network(
 ) -> FlowNetwork:
     """The split-vertex network with both super arcs bounded by [lower, upper].
 
-    Arcs in order: the n split arcs (arc v joins v_in to v_out), the thread
-    arcs u_out -> v_in in edge order, the source arcs s_out -> v_in, the
-    sink arcs v_out -> t_in, then the super arcs s_in -> s_out and
-    t_in -> t_out. Every tail and head is taken from one list of node ids,
-    so all arcs at a node share a single int object.
+    Arcs in order, each column extended in turn: the n split arcs (arc v
+    joins v_in to v_out), the thread arcs u_out -> v_in in edge order, the
+    source arcs s_out -> v_in, the sink arcs v_out -> t_in, then the super
+    arcs s_in -> s_out and t_in -> t_out. Every tail and head is taken from
+    one list of node ids, so all arcs at a node share a single int object.
     """
     may_leave = [Role.S in r or Role.M in r for r in roles]
     may_enter = [Role.M in r or Role.T in r for r in roles]
@@ -116,14 +116,19 @@ def _assemble_network(
     node = list(range(net.num_nodes))
     ins, outs = node[0 : 2 * g.n : 2], node[1 : 2 * g.n : 2]
     s_out, t_in = node[net.s_out], node[net.t_in]
-    net.arcs += [(v_in, v_out, 1, 1) for v_in, v_out in zip(ins, outs)]
-    net.arcs += [
-        (outs[src], ins[dst], 0, 1)
-        for src, dst, _color in g.edges
-        if may_leave[src] and may_enter[dst]
-    ]
-    net.arcs += [(s_out, v_in, 0, 1) for v_in, r in zip(ins, roles) if Role.S in r]
-    net.arcs += [(v_out, t_in, 0, 1) for v_out, r in zip(outs, roles) if Role.T in r]
+    edges = g.edges
+    starts = [v_in for v_in, r in zip(ins, roles) if Role.S in r]
+    ends = [v_out for v_out, r in zip(outs, roles) if Role.T in r]
+    net.tails += ins
+    net.tails += [outs[s] for s, d, _color in edges if may_leave[s] and may_enter[d]]
+    net.tails += [s_out] * len(starts)
+    net.tails += ends
+    net.heads += outs
+    net.heads += [ins[d] for s, d, _color in edges if may_leave[s] and may_enter[d]]
+    net.heads += starts
+    net.heads += [t_in] * len(ends)
+    net.lowers += [1] * g.n + [0] * (net.m - g.n)
+    net.uppers += [1] * net.m
     net.add(node[net.s_in], s_out, lower, upper)
     net.add(t_in, node[net.t_out], lower, upper)
     return net
@@ -139,7 +144,7 @@ def extract_threads(net: FlowNetwork, flows: list[int]) -> ThreadCover:
     vertex_nodes = 2 * net.n
     starts: list[int] = []
     nxt = [-1] * net.n
-    for (tail, head, _lower, _upper), flow in zip(net.arcs, flows):
+    for tail, head, flow in zip(net.tails, net.heads, flows):
         if flow == 1 and head < vertex_nodes and not head & 1:
             if tail == s_out:
                 starts.append(head >> 1)

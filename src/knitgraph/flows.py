@@ -8,10 +8,11 @@ itself is a Dinic scheme over per-node residual adjacency arrays of machine
 ints, so ~10^5-vertex graphs stay well inside the time and memory budget.
 All arc orders are fixed, so results are deterministic.
 
-An arc is a plain `(tail, head, lower, upper)` tuple; what it stands for is
-read from the node numbering of `FlowNetwork`. Arc i of the network is arc
-i of the max-flow instance, so every returned flow list is aligned with
-`FlowNetwork.arcs` by index.
+The network is four columns of plain lists, `tails`, `heads`, `lowers` and
+`uppers`: arc i is entry i of each, and what it stands for is read from the
+node numbering of `FlowNetwork`. Arc i of the network is arc i of the
+max-flow instance, so every returned flow list is aligned with the columns
+by index.
 
 Three solves share one feasibility routine:
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import sub
+from operator import add, sub
 
 INF = 1 << 60
 
@@ -39,11 +40,29 @@ class FlowNetwork:
     """Bounded-arc network over split vertices plus super terminals.
 
     Node ids: v_in = 2v, v_out = 2v+1 for graph vertex v, then
-    s_in, s_out, t_in, t_out in that order.
+    s_in, s_out, t_in, t_out in that order. Arc i runs from `tails[i]` to
+    `heads[i]` with bounds `[lowers[i], uppers[i]]`. The columns are plain
+    lists, not typed arrays: `_residual` copies tails and heads into the
+    residual arrays, where a typed array would box a fresh int per slot
+    and a list passes on the builder's one int per node.
     """
 
     n: int
-    arcs: list[Arc] = field(default_factory=list)
+    tails: list[int] = field(default_factory=list)
+    heads: list[int] = field(default_factory=list)
+    lowers: list[int] = field(default_factory=list)
+    uppers: list[int] = field(default_factory=list)
+
+    @property
+    def m(self) -> int:
+        return len(self.tails)
+
+    @property
+    def arcs(self) -> list[Arc]:
+        """The arcs as `(tail, head, lower, upper)` tuples, built anew on
+        each read. A read-only view for reports and tests: no solver reads
+        it."""
+        return list(zip(self.tails, self.heads, self.lowers, self.uppers))
 
     @property
     def s_in(self) -> int:
@@ -66,7 +85,10 @@ class FlowNetwork:
         return 2 * self.n + 4
 
     def add(self, tail: int, head: int, lower: int, upper: int):
-        self.arcs.append((tail, head, lower, upper))
+        self.tails.append(tail)
+        self.heads.append(head)
+        self.lowers.append(lower)
+        self.uppers.append(upper)
 
 
 class _Dinic:
@@ -148,17 +170,17 @@ def _residual(net: FlowNetwork) -> tuple[list[int], list[int], int]:
     helper arcs must carry for a feasible circulation to exist.
 
     Residual pair i is arc i of `net`, entered as `(upper - lower, 0)`; pair
-    m = len(net.arcs) is the closure arc t_out -> s_in of unbounded
-    capacity; then, in node order, one helper arc from the super source to
-    each node with positive excess and from each node with negative excess
-    to the super sink. Both arrays are allocated at their final length, and
-    the arc slots of `to` hold the arcs' own node ints.
+    m = net.m is the closure arc t_out -> s_in of unbounded capacity; then,
+    in node order, one helper arc from the super source to each node with
+    positive excess and from each node with negative excess to the super
+    sink. Both arrays are allocated at their final length, and the arc
+    slots of `to` hold the arcs' own node ints.
     """
     num_nodes = net.num_nodes
     ss = num_nodes
     tt = num_nodes + 1
-    m = len(net.arcs)
-    tails, heads, lowers, uppers = zip(*net.arcs) if m else ((), (), (), ())
+    m = net.m
+    tails, heads, lowers, uppers = net.tails, net.heads, net.lowers, net.uppers
     residual = list(map(sub, uppers, lowers))
     if residual and min(residual) < 0:
         i = next(i for i, c in enumerate(residual) if c < 0)
@@ -202,7 +224,7 @@ def _feasible(net: FlowNetwork) -> tuple[_Dinic, int] | None:
     dinic = _Dinic(net.num_nodes + 2, to, cap)
     if dinic.max_flow(net.num_nodes, net.num_nodes + 1) < required:
         return None
-    frozen = 2 * len(net.arcs)
+    frozen = 2 * net.m
     value = cap[frozen + 1]
     cap[frozen:] = [0] * (len(cap) - frozen)
     return dinic, value
@@ -210,15 +232,14 @@ def _feasible(net: FlowNetwork) -> tuple[_Dinic, int] | None:
 
 def _flows(net: FlowNetwork, dinic: _Dinic) -> list[int]:
     """Flow per arc of `net`: its lower bound plus its reverse residual."""
-    flows = dinic.cap[1 : 2 * len(net.arcs) : 2]
-    return [arc[2] + f for arc, f in zip(net.arcs, flows)]
+    return list(map(add, net.lowers, dinic.cap[1 : 2 * net.m : 2]))
 
 
 def solve_flow_with_bounds(net: FlowNetwork) -> list[int] | None:
     """Feasible integral circulation respecting every bound, or None.
 
-    Returned flows align with net.arcs. Absence of a solution is a negative
-    answer, not an error.
+    Returned flows align with the arc columns of net. Absence of a
+    solution is a negative answer, not an error.
     """
     feasible = _feasible(net)
     if feasible is None:

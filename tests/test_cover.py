@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import tracemalloc
 from unittest import mock
 
@@ -33,6 +34,7 @@ from knitgraph import (
     gen_stockinette,
     has_hamiltonian_path_dag,
     minimum_path_cover,
+    serialize_json,
     solve_flow_range,
     solve_flow_with_bounds,
     solve_minimum_flow,
@@ -41,6 +43,7 @@ from knitgraph import (
     underlying_knitting_graph,
     vertex_roles,
 )
+from knitgraph import cli
 from knitgraph import cover as cover_module
 from knitgraph import flows as flows_module
 
@@ -673,31 +676,103 @@ def test_flow_range_matches_the_restored_residual_oracle(net):
     assert _outcome(solve_flow_range, net) == _outcome(_restored_flow_range, net)
 
 
+def _tuple_arcs(g, roles, lower, upper):
+    """The network's arcs as the builder listed them when it kept one
+    `(tail, head, lower, upper)` tuple per arc: the oracle for the columns
+    `cover._assemble_network` fills."""
+    may_leave = [Role.S in r or Role.M in r for r in roles]
+    may_enter = [Role.M in r or Role.T in r for r in roles]
+    n = g.n
+    s_in, s_out, t_in, t_out = 2 * n, 2 * n + 1, 2 * n + 2, 2 * n + 3
+    arcs = [(2 * v, 2 * v + 1, 1, 1) for v in range(n)]
+    arcs += [
+        (2 * src + 1, 2 * dst, 0, 1)
+        for src, dst, _color in g.edges
+        if may_leave[src] and may_enter[dst]
+    ]
+    arcs += [(s_out, 2 * v, 0, 1) for v, r in enumerate(roles) if Role.S in r]
+    arcs += [(2 * v + 1, t_in, 0, 1) for v, r in enumerate(roles) if Role.T in r]
+    arcs += [(s_in, s_out, lower, upper), (t_in, t_out, lower, upper)]
+    return arcs
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_dags(), st.sampled_from(list(RedRule)), st.integers(0, 13))
+def test_network_columns_match_the_tuple_builder(g, rule, k):
+    role_lists = [[_ALL_ROLES] * g.n]
+    try:
+        role_lists.append(vertex_roles(g, rule))
+    except InfeasibleVertexError:
+        pass
+    for roles in role_lists:
+        for lower, upper in ((k, k), (0, g.n)):
+            net = cover_module._assemble_network(g, roles, lower, upper)
+            assert net.arcs == _tuple_arcs(g, roles, lower, upper)
+            columns = (net.tails, net.heads, net.lowers, net.uppers)
+            assert all(len(column) == net.m for column in columns)
+
+
+def test_solvers_never_read_the_arcs_view(tmp_path, capsys, monkeypatch):
+    # `FlowNetwork.arcs` zips the columns into one tuple per arc, which is
+    # the memory the columns save; every decision and cover must run
+    # without it
+    pieces = {
+        "round66": gen_stockinette(6, 6, round=True).graph,
+        "dag": random_dag(random.Random(2101), 12, 0.3),
+    }
+    argvs = [["decide", "--k", "2", "--json"], ["decide", "--sweep", "--json"],
+             ["cover", "--json"]]
+    runs = []
+    for name, g in pieces.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(serialize_json(g))
+        runs += [[*argv, str(path)] for argv in argvs]
+
+    def outcomes():
+        got = []
+        for argv in runs:
+            code = cli.main(argv)
+            got.append((code, capsys.readouterr().out))
+        return got
+
+    want = outcomes()
+
+    def no_view(_net):
+        raise AssertionError("a solver read FlowNetwork.arcs")
+
+    monkeypatch.setattr(FlowNetwork, "arcs", property(no_view))
+    with pytest.raises(AssertionError):
+        _path_cover_network(pieces["dag"]).arcs
+    assert outcomes() == want
+    assert all(out for _code, out in want)
+
+
 def test_network_keeps_one_int_per_node():
     g = gen_stockinette(4, 5, round=True).graph
     net = _path_cover_network(g)
-    ends = [end for arc in net.arcs for end in arc[:2]]
+    ends = net.tails + net.heads
     assert len({id(end) for end in ends}) == len(set(ends)) == net.num_nodes
     to, _cap, _required = flows_module._residual(net)
     assert all(to[2 * i] is head and to[2 * i + 1] is tail
-               for i, (tail, head, _lower, _upper) in enumerate(net.arcs))
+               for i, (tail, head) in enumerate(zip(net.tails, net.heads)))
 
 
 def test_path_cover_peak_memory_per_arc():
-    # tracemalloc's peak over one minimum_path_cover, per network arc: about
-    # 213 B on CPython 3.11 with the Dinic adjacency in typed arrays, 280 B
-    # when it held a list of int objects per node, 336 B when each arc also
-    # held its own node ints and the residual arrays grew
+    # tracemalloc's peak over one path-cover flow (network build, minimum
+    # flow and thread extraction), per network arc: about 176 B on CPython
+    # 3.11 with the network in four columns, 221 B when it held one tuple
+    # per arc
     g = gen_stockinette(60, 60, round=True).graph
     g = DirectedKnitGraph(g.n, tuple((s, d, U) for s, d, _ in g.edges))
-    arcs = len(_path_cover_network(g).arcs)
     tracemalloc.start()
     try:
-        minimum_path_cover(g)
+        net = _path_cover_network(g)
+        _value, flows = solve_minimum_flow(net)
+        extract_threads(net, flows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / arcs <= 240
+    assert peak / net.m <= 195
 
 
 def test_sweep_on_a_round_and_the_empty_graph():
