@@ -94,54 +94,67 @@ def _component_trails(y: YarnGraph, comps: list[list[int]]) -> list[Trail]:
     exhausted. Each lookup keeps a cursor that only moves forward, because
     its test can only turn false as arcs get used, so a component costs
     O(arcs) whatever the number of splices.
+
+    Reversals are found through two per-arc pointers, with no index keyed
+    by direction: `rev[i]` is the lowest arc of the direction opposite to
+    arc i, and `after[i]` the next arc of arc i's own direction. The
+    `after` entry of a direction's lowest arc doubles as that direction's
+    cursor past its used arcs, so it too only moves forward, and many
+    parallel arcs or a hub vertex keep the O(arcs) bound.
     """
     n, ends = y.n, y.arcs
     used = [False] * y.m
+    after = [-1] * y.m  # next arc of the same direction, by index
+    lowest: dict[int, int] = {}  # src * n + dst -> lowest arc, only while building
+    for i in range(y.m - 1, -1, -1):
+        src, dst = ends[i]
+        key = src * n + dst
+        after[i] = lowest.get(key, -1)
+        lowest[key] = i
+    rev = [lowest.get(dst * n + src, -1) for src, dst in ends]
+    del lowest
     out: list[list[int]] = [[] for _ in range(n)]
-    by_dir: dict[int, list[int]] = {}  # src * n + dst -> arcs, descending
-    for i, (src, dst) in enumerate(ends):
+    for i, (src, _dst) in enumerate(ends):
         out[src].append(i)
-        by_dir.setdefault(src * n + dst, []).append(i)
-    for group in by_dir.values():
-        group.reverse()  # used arcs pop off the end: the direction's cursor
     free = [0] * n  # out[v][free[v]] is the first unused out-arc
     loop = [0] * n  # ... and out[v][loop[v]] the first with an unused reversal
 
-    def first_unused(src: int, dst: int) -> int | None:
-        group = by_dir.get(src * n + dst, ())
-        while group and used[group[-1]]:
-            group.pop()
-        return group[-1] if group else None
+    def unused_reversal(a: int) -> int:
+        head = rev[a]
+        if head < 0 or not used[head]:
+            return head
+        i = after[head]
+        while i >= 0 and used[i]:
+            i = after[i]
+        after[head] = i
+        return i
 
-    def first_free(v: int) -> int | None:
+    def first_free(v: int) -> int:
         arcs, p = out[v], free[v]
         while p < len(arcs) and used[arcs[p]]:
             p += 1
         free[v] = p
-        return arcs[p] if p < len(arcs) else None
+        return arcs[p] if p < len(arcs) else -1
 
-    def first_loop(v: int) -> int | None:
+    def first_loop(v: int) -> int:
         arcs, p = out[v], loop[v]
-        while p < len(arcs) and (
-            used[arcs[p]] or first_unused(ends[arcs[p]][1], v) is None
-        ):
+        while p < len(arcs) and (used[arcs[p]] or unused_reversal(arcs[p]) < 0):
             p += 1
         loop[v] = p
-        return arcs[p] if p < len(arcs) else None
+        return arcs[p] if p < len(arcs) else -1
 
     def walk(v: int) -> list[int]:
         arcs: list[int] = []
-        back = None
         while True:
-            nxt = None if back is None else first_unused(v, back)
-            if nxt is None:
+            nxt = unused_reversal(arcs[-1]) if arcs else -1
+            if nxt < 0:
                 nxt = first_loop(v)
-            if nxt is None:
+            if nxt < 0:
                 nxt = first_free(v)
-            if nxt is None:
+            if nxt < 0:
                 return arcs
             used[nxt] = True
-            back, v = v, ends[nxt][1]
+            v = ends[nxt][1]
             arcs.append(nxt)
 
     def splice(start: int, arcs: list[int]) -> Trail:
@@ -149,7 +162,7 @@ def _component_trails(y: YarnGraph, comps: list[list[int]]) -> list[Trail]:
         pending = [iter(arcs)]  # the trail, then the circuits nested in it
         v = start
         while pending:
-            if first_free(v) is not None:
+            if first_free(v) >= 0:
                 circuit = walk(v)
                 if ends[circuit[-1]][1] != v:
                     raise NoEulerianPathError("imbalance", [(v, "stuck while splicing")])
@@ -196,7 +209,7 @@ def eulerian_path(y: YarnGraph) -> Trail:
     if not comps:
         return Trail((), ())
     imbalances = [(v, o - i) for v, (i, o) in enumerate(y.degrees()) if o != i]
-    if sorted(d for _, d in imbalances) not in ([], [-1], [1], [-1, 1]):
+    if sorted(d for _, d in imbalances) not in ([], [-1, 1]):
         raise NoEulerianPathError("imbalance", imbalances)
     (trail,) = _component_trails(y, comps)
     return trail
