@@ -68,6 +68,8 @@ def _parse_col(key: str, value) -> Fraction:
     # json reads NaN, Infinity and overflowing literals such as 1e400 as floats
     if isinstance(value, float) and not math.isfinite(value):
         raise SchemaError(f"layout[{key}]: column must be finite, found {value}")
+    if type(value) is int:
+        return Fraction(value)
     # str round-trip keeps decimal literals exact ("0.6" -> 3/5)
     return Fraction(str(value))
 
@@ -102,12 +104,24 @@ def _check_meta(meta: dict, n: int) -> None:
 
 
 def parse_document(data: bytes | str) -> GraphDocument:
+    """Read a document from JSON bytes or text.
+
+    What json builds is released as it is read: bytes are decoded as
+    `json.loads` decodes them and dropped before json builds an object,
+    the text is dropped once json has read it, and each edge object is
+    dropped once its tuple exists, so a caller that passes its only
+    reference (`parse_document(fh.read())`) never holds two of them.
+    Every in-range vertex id is one shared int object.
+    """
     try:
+        if isinstance(data, (bytes, bytearray)):
+            data = data.decode(json.detect_encoding(data), "surrogatepass")
         raw = json.loads(data)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"invalid {exc.encoding} at byte {exc.start}") from exc
+    del data
     if not isinstance(raw, dict):
         raise SchemaError("top level: expected an object")
 
@@ -123,8 +137,10 @@ def parse_document(data: bytes | str) -> GraphDocument:
 
     # One pass: each edge is checked once and lands straight in the list
     # its graph type takes; `_edge_schema_error` only words a refusal.
+    # Out-of-range ids pass as they came, for the graph to refuse.
     edges: list = []
     colored = False
+    ids = list(range(n))
     for i, e in enumerate(edges_raw):
         if type(e) is not dict:
             raise _edge_schema_error(i, e)
@@ -136,6 +152,9 @@ def parse_document(data: bytes | str) -> GraphDocument:
             color = _COLOR_FROM_JSON[e.get("color")]
         except (KeyError, TypeError):  # TypeError: an unhashable color
             raise _edge_schema_error(i, e) from None
+        edges_raw[i] = None
+        if 0 <= src < n and 0 <= dst < n:
+            src, dst = ids[src], ids[dst]
         if multigraph:
             colored = colored or color is not EdgeColor.UNCOLORED
             edges.append((src, dst))

@@ -89,11 +89,12 @@ def _component_trails(y: YarnGraph, comps: list[list[int]]) -> list[Trail]:
 
     All walks of a component come first; then one forward pass over each
     trail walks the leftover circuit at every vertex that still has an
-    unused out-arc and inserts it at that position (Hierholzer, 1873).
-    Splicing only uses arcs up, so the positions already passed stay
-    exhausted. Each lookup keeps a cursor that only moves forward, because
-    its test can only turn false as arcs get used, so a component costs
-    O(arcs) whatever the number of splices.
+    unused out-arc and inserts it at that position (Hierholzer, 1873);
+    when the walks used every arc, that pass is skipped. Splicing only
+    uses arcs up, so the positions already passed stay exhausted. Each
+    lookup keeps a cursor that only moves forward, because its test can
+    only turn false as arcs get used, so a component costs O(arcs)
+    whatever the number of splices.
 
     Reversals are found through two per-arc pointers, with no index keyed
     by direction: `rev[i]` is the lowest arc of the direction opposite to
@@ -157,7 +158,7 @@ def _component_trails(y: YarnGraph, comps: list[list[int]]) -> list[Trail]:
             v = ends[nxt][1]
             arcs.append(nxt)
 
-    def splice(start: int, arcs: list[int]) -> Trail:
+    def splice(start: int, arcs: list[int]) -> list[int]:
         spliced: list[int] = []
         pending = [iter(arcs)]  # the trail, then the circuits nested in it
         v = start
@@ -173,17 +174,20 @@ def _component_trails(y: YarnGraph, comps: list[list[int]]) -> list[Trail]:
                 continue
             spliced.append(arc)
             v = ends[arc][1]
-        return Trail(tuple(spliced), (start, *(ends[arc][1] for arc in spliced)))
+        return spliced
 
     degrees = y.degrees()
     trails: list[Trail] = []
     for comp in comps:
         starts = [v for v in comp for _ in range(degrees[v][1] - degrees[v][0])]
         walks = [(s, walk(s)) for s in starts or comp[:1]]
-        spliced = [splice(s, arcs) for s, arcs in walks]
-        if sum(len(t.arcs) for t in spliced) < sum(degrees[v][1] for v in comp):
-            raise NoEulerianPathError("disconnected")
-        trails.extend(spliced)
+        m = sum(degrees[v][1] for v in comp)
+        # walks that used every arc leave no circuit to splice in
+        if sum(len(arcs) for _, arcs in walks) < m:
+            walks = [(s, splice(s, arcs)) for s, arcs in walks]
+            if sum(len(arcs) for _, arcs in walks) < m:
+                raise NoEulerianPathError("disconnected")
+        trails.extend(Trail(tuple(arcs), (s, *(ends[a][1] for a in arcs))) for s, arcs in walks)
     return trails
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from knitgraph import (
     YarnGraph,
     all_fixtures,
     export_dot,
+    gen_stockinette,
     parse_document,
     serialize_json,
     underlying_knitting_graph,
@@ -107,6 +109,49 @@ def test_invalid_json_reports_line():
 def test_invalid_utf8_is_schema_error():
     with pytest.raises(SchemaError, match="invalid utf-8 at byte 1"):
         parse_document(b'{\xff}')
+
+
+@pytest.mark.parametrize(
+    "encoding",
+    ["utf-8-sig", "utf-16", "utf-16-le", "utf-16-be", "utf-32", "utf-32-le", "utf-32-be"],
+)
+def test_bytes_decode_in_every_encoding_json_detects(encoding):
+    f = all_fixtures()[2]
+    doc = json.loads(serialize_json(GraphDocument(f.graph, f.layout, {"k": f.k})))
+    doc["meta"]["labels"] = {"0": "maille \u00e9crue \u2713"}
+    text = json.dumps(doc, ensure_ascii=False)
+    assert parse_document(text.encode(encoding)) == parse_document(text.encode("utf-8"))
+
+
+def test_parse_peak_memory_per_edge(tmp_path):
+    # tracemalloc's peak from reading the file to the parsed document, per
+    # edge: about 340 B on CPython 3.11.7 with the bytes and each edge object
+    # released as they are read, 533 B when both lived to the end of the
+    # parse; the bound leaves room for CPython 3.10, which keeps the
+    # caller's reference to the bytes
+    path = tmp_path / "r.json"
+    path.write_bytes(serialize_json(gen_stockinette(60, 60, round=True).graph))
+    tracemalloc.start()
+    try:
+        doc = parse_document(path.read_bytes())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(doc.graph.edges) <= 460
+
+
+@pytest.mark.parametrize("yarn", [False, True])
+def test_parsed_vertex_ids_are_one_object_each(yarn):
+    f = gen_stockinette(30, 30, round=True)
+    graph = parse_document(serialize_json(f.yarn if yarn else f.graph)).graph
+    ends = graph.arcs if yarn else [(s, d) for s, d, _ in graph.edges]
+    shared: dict[int, int] = {}
+    for s, d in ends:
+        for v in (s, d):
+            # ints up to 256 are cached by CPython whatever the parser does
+            if v >= 257:
+                assert shared.setdefault(v, v) is v
+    assert len(shared) == f.graph.n - 257
 
 
 def test_layout_round_trip_keeps_fractions():
