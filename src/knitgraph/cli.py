@@ -32,7 +32,7 @@ from .feasibility import (
     thread_paths,
 )
 from .graphs import DirectedKnitGraph, EdgeColor, YarnGraph, underlying_knitting_graph
-from .layout import cable_width, classify_complexity, count_rows, is_planar_with_layout
+from .layout import cable_width, classify_complexity, count_rows, crossing_graph, is_planar_drawn
 from .patterns import (
     gen_brioche_maximal,
     gen_stitch_fixture,
@@ -276,7 +276,9 @@ def _cmd_table(args) -> int:
 
 def _cmd_planar(args) -> int:
     doc = _load_knit(args.file)
-    ok = is_planar_with_layout(doc.graph, doc.layout)
+    # colors are not read, so an uncolored piece still gets an answer
+    cg = None if doc.layout is None else crossing_graph(doc.graph, doc.layout)
+    ok = is_planar_drawn(doc.graph, cg)
     _emit(args, {"planar": ok}, "planar" if ok else "not planar")
     return OK if ok else NEGATIVE
 

@@ -115,8 +115,9 @@ def thread_paths(g: DirectedKnitGraph) -> tuple[tuple[tuple[int, ...], ...], lis
         return (), problems
     paths: list[tuple[int, ...]] = []
     seen = [False] * g.n
+    # starts in ascending order, so the paths come sorted by first vertex
     for v in range(g.n):
-        if prv[v] == -1 and not seen[v]:
+        if prv[v] == -1:
             path = [v]
             seen[v] = True
             w = nxt[v]
@@ -129,7 +130,6 @@ def thread_paths(g: DirectedKnitGraph) -> tuple[tuple[tuple[int, ...], ...], lis
         cyc = next(v for v in range(g.n) if not seen[v])
         problems.append(f"sequential edges form a cycle through vertex {cyc}")
         return (), problems
-    paths.sort(key=lambda p: p[0])
     return tuple(paths), problems
 
 

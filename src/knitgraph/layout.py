@@ -58,15 +58,15 @@ def is_planar(g: DirectedKnitGraph | KnittingGraph) -> bool:
     return ok
 
 
-def is_planar_with_layout(g: DirectedKnitGraph, layout: Layout | None) -> bool:
-    """Planarity of g, read from its drawing when that settles it.
+def is_planar_drawn(g: DirectedKnitGraph, cg: CrossingGraph | None) -> bool:
+    """Planarity of g, read from the crossing graph of its drawing when
+    that settles it; cg is None when g has no drawing.
 
-    A degenerate drawing raises DegenerateLayoutError, as `crossing_graph`
-    does for every command that reads a drawing. Any other drawing without
+    `crossing_graph` refuses every degenerate drawing, so a drawing without
     crossings is a plane straight-line drawing and proves g planar; with
     crossings, or without a drawing, `is_planar` decides.
     """
-    return (layout is not None and not crossing_graph(g, layout).links) or is_planar(g)
+    return (cg is not None and not cg.links) or is_planar(g)
 
 
 @dataclass(frozen=True)
@@ -241,17 +241,28 @@ def crossing_graph(
     return CrossingGraph(tuple(pairs), tuple(links))
 
 
+def _colored_drawing(g: DirectedKnitGraph, layout: Layout | None) -> CrossingGraph | None:
+    """The crossing graph of g's drawing, or None without one, for the
+    commands that read colors as well as a drawing.
+
+    They refuse bad input in one order: a degenerate drawing raises
+    DegenerateLayoutError, then an uncolored arc raises
+    UncoloredPresentError, and only then may a planarity test run.
+    """
+    cg = None if layout is None else crossing_graph(g, layout)
+    if EdgeColor.UNCOLORED in g.colors():
+        raise UncoloredPresentError()
+    return cg
+
+
 def cable_width(g: DirectedKnitGraph, layout: Layout) -> int:
     """Largest link count among crossing-graph components of the drawing.
 
-    Thread edges (blue and purple) must be pairwise non-crossing. A
-    degenerate drawing raises DegenerateLayoutError; after that an
-    uncolored arc raises UncoloredPresentError, since it hides whether a
-    crossing is between threads.
+    Thread edges (blue and purple) must be pairwise non-crossing. Bad
+    input is refused as `_colored_drawing` orders it: an uncolored arc
+    hides whether a crossing is between threads.
     """
-    cg = crossing_graph(g, layout)
-    if EdgeColor.UNCOLORED in g.colors():
-        raise UncoloredPresentError()
+    cg = _colored_drawing(g, layout)
     edges = g.edges
     for i, j in cg.links:
         if edges[i][2] in THREAD_COLORS and edges[j][2] in THREAD_COLORS:
@@ -287,36 +298,25 @@ def classify_complexity(
     with crossings is class 2 (cables, brioche), as is a non-planar graph.
     Otherwise the graph is class 0 when its coloring passes
     `check_coloring` for any thread count, and class 1 when only planarity
-    holds. A degenerate drawing raises DegenerateLayoutError; after that an
-    uncolored arc raises UncoloredPresentError, before any planarity test.
+    holds. Bad input is refused as `_colored_drawing` orders it.
     """
-    crossings_red = False
-    crossings_blue = False
-    has_crossings = False
-    if layout is not None:
-        cg = crossing_graph(g, layout)
-        edges = g.edges
-        for i, j in cg.links:
-            involved = {edges[i][2], edges[j][2]}
-            if involved & LOOP_COLORS:
-                crossings_red = True
-            if involved & THREAD_COLORS:
-                crossings_blue = True
-        has_crossings = bool(cg.links)
+    cg = _colored_drawing(g, layout)
     coloring = check_coloring(g, None, rule)
-    # crossing_graph rejects every degenerate drawing, so a layout without
-    # crossings is a plane straight-line drawing: the graph is planar
-    planar = (layout is not None and not has_crossings) or is_planar(g)
+    planar = is_planar_drawn(g, cg)
+    links = () if cg is None else cg.links
+    crossed = {g.edges[k][2] for link in links for k in link}
 
     if multi_orientation:
         cls = ComplexityClass.CLASS3
-    elif has_crossings or not planar:
+    elif links or not planar:
         cls = ComplexityClass.CLASS2
     elif coloring.valid:
         cls = ComplexityClass.CLASS0
     else:
         cls = ComplexityClass.CLASS1
-    return ComplexityReport(cls, planar, crossings_red, crossings_blue)
+    return ComplexityReport(
+        cls, planar, bool(crossed & LOOP_COLORS), bool(crossed & THREAD_COLORS)
+    )
 
 
 def single_thread(cover) -> tuple[int, ...]:
@@ -392,16 +392,14 @@ def count_rows(
     With a drawing, rows come from side switches of outgoing loop edges
     along the thread; without one, from the loop layering (each stitch one
     row above its loop parents). Stitches with no loop edges keep the
-    current row in both schemes. Planarity is read as in
-    `is_planar_with_layout`, so a degenerate drawing raises
-    DegenerateLayoutError. After those checks an uncolored arc raises
-    UncoloredPresentError: neither scheme can tell a loop without colors.
+    current row in both schemes. After the single-thread check, bad input
+    is refused as `_colored_drawing` orders it (neither scheme can tell a
+    loop without colors), and then a piece that `is_planar_drawn` finds
+    not planar.
     """
     thread = single_thread(cover)
-    if not is_planar_with_layout(g, layout):
+    if not is_planar_drawn(g, _colored_drawing(g, layout)):
         raise NotPlanarLayoutError()
-    if EdgeColor.UNCOLORED in g.colors():
-        raise UncoloredPresentError()
     if not thread:
         return 0
     if layout is not None:

@@ -73,23 +73,18 @@ def gen_stockinette(rows: int, cols: int, round: bool = False) -> Fixture:
                 edges.append((r * cols + c, (r + 1) * cols + c, RED))
         name = f"stockinette-round-{rows}x{cols}"
     else:
-        col_of = {}
-        for r in range(rows):
-            for off in range(cols):
-                v = r * cols + off
-                col_of[v] = off if r % 2 == 0 else cols - 1 - off
         for i in range(n - 1):
             turn = (i + 1) % cols == 0
             edges.append((i, i + 1, PURPLE if turn else BLUE))
-        for r in range(rows - 1):
-            for off in range(cols):
-                lo = r * cols + off
-                col = col_of[lo]
-                hi_off = col if (r + 1) % 2 == 0 else cols - 1 - col
-                hi = (r + 1) * cols + hi_off
-                if hi != lo + 1:  # the turn pair is already purple
-                    edges.append((lo, hi, RED))
-        layout = {v: (v // cols, Fraction(col_of[v])) for v in range(n)}
+        # the stitch above v sits in the same column of the next row, which
+        # runs the other way; a row's last stitch is joined by the purple turn
+        for v in range(n - cols):
+            if (v + 1) % cols:
+                edges.append((v, 2 * (v // cols + 1) * cols - 1 - v, RED))
+        layout = {}
+        for v in range(n):
+            r, off = divmod(v, cols)
+            layout[v] = (r, Fraction(cols - 1 - off if r % 2 else off))
         name = f"stockinette-flat-{rows}x{cols}"
     return _make_fixture(name, n, edges, layout, ComplexityClass.CLASS0, RedRule.STRICT)
 

@@ -125,12 +125,12 @@ def test_rows(round33, capsys):
 UNCOLORED = "error: graph must be fully colored\n"
 
 
-def _uncolored_flat33(tmp_path, capsys, drawing):
-    """Flat 3x3 with its colors set to null and its threads kept, with its
-    drawing ("layout"), without one ("none"), or with row 1 moved onto
-    row 0 ("collapsed", degenerate)."""
+def _uncolored_piece(tmp_path, capsys, drawing, pattern="stockinette"):
+    """Flat 3x3, or another generated pattern, with its colors set to null
+    and its threads kept, with its drawing ("layout"), without one
+    ("none"), or with row 1 moved onto row 0 ("collapsed", degenerate)."""
     flat = tmp_path / "flat.json"
-    run(capsys, "gen", "--pattern", "stockinette", "--rows", "3", "--cols", "3", "-o", str(flat))
+    run(capsys, "gen", "--pattern", pattern, "--rows", "3", "--cols", "3", "-o", str(flat))
     doc = json.loads(flat.read_text())
     for edge in doc["edges"]:
         edge["color"] = None
@@ -143,12 +143,18 @@ def _uncolored_flat33(tmp_path, capsys, drawing):
     return flat
 
 
-@pytest.mark.parametrize("drawn", [True, False], ids=["layout", "no-layout"])
-def test_rows_refuses_an_uncolored_piece(tmp_path, capsys, drawn):
+@pytest.mark.parametrize(
+    "pattern, drawing",
+    [("stockinette", "layout"), ("stockinette", "none"), ("c1b", "layout")],
+    # c1b is not planar: the missing colors are refused before any
+    # planarity test, as classify refuses them
+    ids=["layout", "no-layout", "c1b-not-planar"],
+)
+def test_rows_refuses_an_uncolored_piece(tmp_path, capsys, pattern, drawing):
     # the side counter and the loop layering would each take other arcs
     # for loops
-    flat = _uncolored_flat33(tmp_path, capsys, "layout" if drawn else "none")
-    assert run(capsys, "rows", "--json", str(flat)) == (2, "", UNCOLORED)
+    piece = _uncolored_piece(tmp_path, capsys, drawing, pattern)
+    assert run(capsys, "rows", "--json", str(piece)) == (2, "", UNCOLORED)
 
 
 @pytest.mark.parametrize(
@@ -170,7 +176,7 @@ def test_classify_and_cablewidth_refuse_an_uncolored_piece(
 ):
     # without colors no class can be read, and no crossing told to be
     # between two threads
-    flat = _uncolored_flat33(tmp_path, capsys, drawing)
+    flat = _uncolored_piece(tmp_path, capsys, drawing)
     assert run(capsys, command, "--json", str(flat)) == (2, "", err_wanted)
 
 

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import io
+import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -13,6 +17,7 @@ from knitgraph import (
     DegenerateLayoutError,
     DirectedKnitGraph,
     EdgeColor,
+    GraphDocument,
     KnittingGraph,
     NotPlanarLayoutError,
     NotSingleThreadError,
@@ -28,8 +33,10 @@ from knitgraph import (
     gen_stitch_fixture,
     gen_stockinette,
     is_planar,
+    serialize_json,
     underlying_knitting_graph,
 )
+from knitgraph import cli
 from knitgraph import layout as layout_module
 from knitgraph.layout import CrossingGraph, row_layers
 
@@ -565,14 +572,14 @@ def _count_rows_networkx(g, cover, layout=None):
     every call, then the `Fraction` side counter. The oracle of both. A
     degenerate drawing is refused first, by the brute-force crossing
     graph, as every command that reads a drawing refuses it; an uncolored
-    arc is refused after the planarity test."""
+    arc is refused next, before the planarity test."""
     thread = layout_module.single_thread(cover)
     if layout is not None:
         _crossing_graph_bruteforce(g, layout)
-    if not is_planar(underlying_knitting_graph(g)):
-        raise NotPlanarLayoutError()
     if U in g.colors():
         raise UncoloredPresentError()
+    if not is_planar(underlying_knitting_graph(g)):
+        raise NotPlanarLayoutError()
     if not thread:
         return 0
     if layout is not None:
@@ -600,6 +607,68 @@ def test_count_rows_matches_networkx_oracle_on_random_drawings(drawing, data):
         assert _rows_outcome(count_rows, g, cover, drawn) == _rows_outcome(
             _count_rows_networkx, g, cover, drawn
         )
+
+
+@st.composite
+def convex_drawings(draw):
+    """A dense graph with its vertices on the parabola row = column^2, so
+    no three are collinear: the drawing crosses, is degenerate only where
+    three edges meet, and most such graphs are not planar, which
+    `drawings()` seldom gives."""
+    n = draw(st.integers(5, 8))
+    xs = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n, unique=True))
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    dropped = draw(st.lists(st.sampled_from(pairs), max_size=n // 2))
+    edges = tuple(p for p in pairs if p not in dropped)
+    return KnittingGraph(n, edges), {v: (x * x, Fraction(x)) for v, x in enumerate(xs)}
+
+
+def _planar_command(g, layout, path):
+    """`planar --json` on g and its drawing, in process: the verdict, or
+    "degenerate" when it refuses the drawing. Columns are written scaled
+    to ints by the LCM of their denominators, which keeps every crossing
+    and every fault, since a file cannot hold a column such as 1/3."""
+    if layout is not None:
+        sx = math.lcm(*(Fraction(c).denominator for _r, c in layout.values()))
+        layout = {v: (r, Fraction(c) * sx) for v, (r, c) in layout.items()}
+    path.write_bytes(serialize_json(GraphDocument(g, layout)))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["planar", "--json", str(path)])
+    if code == 2:
+        assert err.getvalue().startswith("error: degenerate layout"), err.getvalue()
+        return "degenerate"
+    verdict = json.loads(out.getvalue())["planar"]
+    assert (code, err.getvalue()) == (0 if verdict else 1, "")
+    return verdict
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawing=st.one_of(drawings(), convex_drawings()))
+def test_classify_and_planar_agree_with_networkx_on_random_drawings(
+    drawing, tmp_path_factory
+):
+    # a crossing-free drawing proves planarity without networkx; every
+    # other drawing, and no drawing, must leave the answer to it
+    g, layout = drawing
+    g = DirectedKnitGraph(g.n, tuple((*edge[:2], R) for edge in g.edges))
+    path = tmp_path_factory.getbasetemp() / "planar-drawing.json"
+    for drawn in (layout, None):
+        try:
+            if drawn is not None:
+                _crossing_graph_bruteforce(g, drawn)
+            expected = is_planar(g)
+        except DegenerateLayoutError:
+            expected = "degenerate"
+        try:
+            classified = classify_complexity(g, drawn).planar
+        except DegenerateLayoutError:
+            classified = "degenerate"
+        assert classified == expected
+        # the schema refuses a drawing that leaves a vertex out before
+        # `planar` reads it, so only a full drawing goes to the command
+        if drawn is None or len(drawn) == g.n:
+            assert _planar_command(g, drawn, path) == expected
 
 
 @settings(max_examples=400, deadline=None)
