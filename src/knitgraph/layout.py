@@ -16,7 +16,7 @@ pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -73,11 +73,14 @@ def is_planar_drawn(g: DirectedKnitGraph, cg: CrossingGraph | None) -> bool:
 class CrossingGraph:
     """Edges of the drawing as nodes, proper segment crossings as links.
 
-    Node i is edge i of the graph, in its edge order.
+    Node i is edge i of the graph, in its edge order. `points` is the int
+    drawing the links were found on (see `_scaled_points`), vertex v at
+    points[v]; it is empty for a crossing graph built without a drawing.
     """
 
     edge_pairs: tuple[tuple[int, int], ...]
     links: tuple[tuple[int, int], ...]  # index pairs into edge_pairs, i < j
+    points: tuple[tuple[int, int], ...] = field(default=(), compare=False, repr=False)
 
     def max_component_links(self) -> int:
         """Largest link count of a connected component, 0 without links."""
@@ -94,7 +97,7 @@ def _orient(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> int:
 
 
 def _scaled_points(
-    positions: list[tuple[int, Fraction]],
+    positions: list[tuple[int, int | Fraction]],
 ) -> tuple[list[tuple[int, int]], int]:
     """The int drawing and its column scale sx: (x, y) per position, x the
     column times sx, the LCM of the column denominators, and y the row,
@@ -130,31 +133,45 @@ def _candidate_pairs(
     two edges share a band, and the first band they share is the upper of
     their lower rows; a pair is taken there only, so it is listed once.
     Within a band, an x-interval sweep pairs the edges whose closed x
-    ranges overlap.
+    ranges overlap: one pass per entry over the live list drops the
+    entries that end left of it and pairs it with the rest.
     """
     band_of_row = {y: k for k, y in enumerate(sorted({p[1] for p in points}))}
-    bands: list[list[tuple[int, int, int]]] = [[] for _ in band_of_row]
-    first_band: list[int] = []
+    xs = [x for x, _y in points]
+    band_of = [band_of_row[y] for _x, y in points]
+    bands: list[list[tuple[int, int, int, int, int, int]]] = [[] for _ in band_of_row]
     for i, (u, w) in enumerate(pairs):
-        (ax, ay), (bx, by) = points[u], points[w]
-        k0, k1 = sorted((band_of_row[ay], band_of_row[by]))
-        first_band.append(k0)
-        entry = (min(ax, bx), max(ax, bx), i)
-        for k in range(k0, k1 + 1):
-            bands[k].append(entry)
+        ax, bx, k0, k1 = xs[u], xs[w], band_of[u], band_of[w]
+        if k0 > k1:
+            k0, k1 = k1, k0
+        # i is unique, so a band sorts by (x0, x1, i) and never further
+        entry = (ax, bx, i, u, w, k0) if ax <= bx else (bx, ax, i, u, w, k0)
+        # most edges lie in one band; a range per edge costs more than this test
+        if k0 == k1:
+            bands[k0].append(entry)
+        else:
+            for k in range(k0, k1 + 1):
+                bands[k].append(entry)
     out: list[tuple[int, int]] = []
     for k, band in enumerate(bands):
         band.sort()
-        active: list[tuple[int, int, int]] = []
+        live: list[tuple[int, int, int, int, int, int]] = []
         for entry in band:
-            x0, _x1, j = entry
-            active = [a for a in active if a[1] >= x0]
-            u, w = pairs[j]
-            for _a0, _a1, i in active:
-                shared = u in pairs[i] or w in pairs[i]
-                if not shared and k == max(first_band[i], first_band[j]):
+            x0, _x1, j, u, w, kj = entry
+            kept = []
+            for other in live:  # (x0, x1, i, u, w, first band), read by index
+                if other[1] < x0:
+                    continue
+                kept.append(other)
+                # both first bands are <= k here, so k is the larger of
+                # them exactly when it is one of them
+                if (kj == k or other[5] == k) and (
+                    u != other[3] and u != other[4] and w != other[3] and w != other[4]
+                ):
+                    i = other[2]
                     out.append((i, j) if i < j else (j, i))
-            active.append(entry)
+            kept.append(entry)
+            live = kept
     out.sort()
     return out
 
@@ -211,22 +228,24 @@ def crossing_graph(
         if j >= m:
             continue
         (u1, w1), (u2, w2) = pairs[i], pairs[j]
-        a, b, c, d = points[u1], points[w1], points[u2], points[w2]
-        o1 = _orient(a, b, c)
-        o2 = _orient(a, b, d)
-        # Collinear edges (o1 == o2 == 0) that meet would put a vertex on
-        # an edge or share a position, both rejected above.
-        if o1 == o2 or 0 in (o1, o2):
+        (ax, ay), (bx, by) = points[u1], points[w1]
+        (cx, cy), (dx, dy) = points[u2], points[w2]
+        # the orientation signs of c and d against ab, then of a and b
+        # against cd, as `_orient` would give them: a product >= 0 means
+        # equal signs or a zero. Collinear edges (both zero) that meet
+        # would put a vertex on an edge or share a position, both
+        # rejected above.
+        ex, ey = bx - ax, by - ay
+        if (ex * (cy - ay) - ey * (cx - ax)) * (ex * (dy - ay) - ey * (dx - ax)) >= 0:
             continue
-        o3 = _orient(c, d, a)
-        o4 = _orient(c, d, b)
-        if o3 == o4 or 0 in (o3, o4):
+        fx, fy = dx - cx, dy - cy
+        if (fx * (ay - cy) - fy * (ax - cx)) * (fx * (by - cy) - fy * (bx - cx)) >= 0:
             continue
         # strict crossing at (x / den, y / den), kept in lowest terms
-        den = (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
-        t = (c[0] - a[0]) * (d[1] - c[1]) - (c[1] - a[1]) * (d[0] - c[0])
-        x = a[0] * den + t * (b[0] - a[0])
-        y = a[1] * den + t * (b[1] - a[1])
+        den = ex * fy - ey * fx
+        t = (cx - ax) * fy - (cy - ay) * fx
+        x = ax * den + t * ex
+        y = ay * den + t * ey
         if den < 0:
             x, y, den = -x, -y, -den
         common = math.gcd(x, y, den)
@@ -238,7 +257,7 @@ def crossing_graph(
             raise DegenerateLayoutError(
                 _unscale(cross[:2], sx, cross[2]), "three edges concurrent"
             )
-    return CrossingGraph(tuple(pairs), tuple(links))
+    return CrossingGraph(tuple(pairs), tuple(links), tuple(points))
 
 
 def _colored_drawing(g: DirectedKnitGraph, layout: Layout | None) -> CrossingGraph | None:
@@ -327,12 +346,12 @@ def single_thread(cover) -> tuple[int, ...]:
 
 
 def _count_rows_by_sides(
-    g: DirectedKnitGraph, thread: tuple[int, ...], layout: Layout
+    g: DirectedKnitGraph, thread: tuple[int, ...], points: tuple[tuple[int, int], ...]
 ) -> int:
-    """Side-switch row count: classify each outgoing loop edge as left or
-    right of the local thread direction; every switch, including the very
-    first signal after cast-on, opens a row."""
-    points, _sx = _scaled_points([layout[v] for v in range(g.n)])
+    """Side-switch row count on the int drawing (vertex v at points[v]):
+    classify each outgoing loop edge as left or right of the local thread
+    direction; every switch, including the very first signal after
+    cast-on, opens a row."""
     out_adj = g.out_adj()
     changes = 0
     side = 0
@@ -398,12 +417,13 @@ def count_rows(
     not planar.
     """
     thread = single_thread(cover)
-    if not is_planar_drawn(g, _colored_drawing(g, layout)):
+    cg = _colored_drawing(g, layout)
+    if not is_planar_drawn(g, cg):
         raise NotPlanarLayoutError()
     if not thread:
         return 0
-    if layout is not None:
-        return _count_rows_by_sides(g, thread, layout)
+    if cg is not None:
+        return _count_rows_by_sides(g, thread, cg.points)
     return row_layers(g, thread)[-1] + 1
 
 

@@ -14,7 +14,8 @@ not null, is an object. meta.k, when set, is a non-negative int,
 meta.threads a list of lists of vertex ids in [0, n) and
 meta.multi_orientation a bool; null means unset.
 External vertex labels, when present in meta.labels, are preserved verbatim
-in the parsed document.
+in the parsed document. A layout column written as an int is read as that
+int, any other column as the exact Fraction of its decimal literal.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from fractions import Fraction
 from .errors import SchemaError
 from .graphs import DirectedKnitGraph, EdgeColor, KnittingGraph, YarnGraph
 
-Layout = dict[int, tuple[int, Fraction]]
+# vertex -> (row, column); a column read from an int is that int, any other
+# column a Fraction, so both are exact rationals
+Layout = dict[int, tuple[int, int | Fraction]]
 
 # Ten times the largest benchmarked piece; checked before any O(n) list
 # is built, so a document cannot ask for an arbitrarily large allocation.
@@ -62,14 +65,14 @@ def _require(data: dict, key: str, kind, where: str):
     return value
 
 
-def _parse_col(key: str, value) -> Fraction:
+def _parse_col(key: str, value) -> int | Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"layout[{key}]: column must be a number")
     # json reads NaN, Infinity and overflowing literals such as 1e400 as floats
     if isinstance(value, float) and not math.isfinite(value):
         raise SchemaError(f"layout[{key}]: column must be finite, found {value}")
     if type(value) is int:
-        return Fraction(value)
+        return value  # an exact rational already, equal to Fraction(value)
     # str round-trip keeps decimal literals exact ("0.6" -> 3/5)
     return Fraction(str(value))
 

@@ -291,6 +291,20 @@ def drawings(draw):
     return DirectedKnitGraph(n, arcs), layout
 
 
+@st.composite
+def convex_drawings(draw):
+    """A dense graph with its vertices on the parabola row = column^2, so
+    no three are collinear: the drawing crosses, is degenerate only where
+    three edges meet, and most such graphs are not planar, which
+    `drawings()` seldom gives."""
+    n = draw(st.integers(5, 8))
+    xs = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n, unique=True))
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    dropped = draw(st.lists(st.sampled_from(pairs), max_size=n // 2))
+    edges = tuple(p for p in pairs if p not in dropped)
+    return KnittingGraph(n, edges), {v: (x * x, Fraction(x)) for v, x in enumerate(xs)}
+
+
 @settings(max_examples=600, deadline=None)
 @given(drawings())
 def test_crossing_graph_matches_bruteforce_on_random_drawings(drawing):
@@ -307,6 +321,63 @@ def test_crossing_graph_matches_bruteforce_on_fixtures():
         # the same drawing sheared by a fractional column offset per row
         sheared = {v: (row, col + Fraction(row, 7)) for v, (row, col) in f.layout.items()}
         assert_matches_oracle(f.graph, sheared)
+
+
+def _candidate_pairs_oracle(pairs, points):
+    """`layout._candidate_pairs` as it was before the sweep carried each
+    edge's ends and first band in its band entry: a new active list per
+    entry, both first bands looked up per pair. The oracle of the sweep."""
+    band_of_row = {y: k for k, y in enumerate(sorted({p[1] for p in points}))}
+    bands = [[] for _ in band_of_row]
+    first_band = []
+    for i, (u, w) in enumerate(pairs):
+        (ax, ay), (bx, by) = points[u], points[w]
+        k0, k1 = sorted((band_of_row[ay], band_of_row[by]))
+        first_band.append(k0)
+        entry = (min(ax, bx), max(ax, bx), i)
+        for k in range(k0, k1 + 1):
+            bands[k].append(entry)
+    out = []
+    for k, band in enumerate(bands):
+        band.sort()
+        active = []
+        for entry in band:
+            x0, _x1, j = entry
+            active = [a for a in active if a[1] >= x0]
+            u, w = pairs[j]
+            for _a0, _a1, i in active:
+                shared = u in pairs[i] or w in pairs[i]
+                if not shared and k == max(first_band[i], first_band[j]):
+                    out.append((i, j) if i < j else (j, i))
+            active.append(entry)
+    out.sort()
+    return out
+
+
+def assert_sweep_matches_oracle(g, layout):
+    """The sweep on the input `crossing_graph` gives it: every edge, then
+    each vertex as a one-point edge. A vertex the drawing leaves out sits
+    at the origin, so every drawing gives a full set of points."""
+    points, _sx = layout_module._scaled_points(
+        [layout.get(v, (0, 0)) for v in range(g.n)]
+    )
+    pairs = [edge[:2] for edge in g.edges] + [(v, v) for v in range(g.n)]
+    assert layout_module._candidate_pairs(pairs, points) == _candidate_pairs_oracle(pairs, points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(drawings(), convex_drawings()))
+def test_candidate_pairs_match_the_old_sweep_on_random_drawings(drawing):
+    assert_sweep_matches_oracle(*drawing)
+
+
+def test_candidate_pairs_match_the_old_sweep_on_pieces():
+    pieces = [f for f in all_fixtures() if f.layout is not None]
+    pieces += [gen_stockinette(40, 40, round=False), gen_brioche_maximal(60)]
+    for f in pieces:
+        assert_sweep_matches_oracle(f.graph, f.layout)
+        sheared = {v: (row, col + Fraction(row, 7)) for v, (row, col) in f.layout.items()}
+        assert_sweep_matches_oracle(f.graph, sheared)
 
 
 def test_crossing_graph_degenerate_error_points():
@@ -566,6 +637,14 @@ def _count_rows_by_sides_fraction(g, thread, layout):
     return 1 + changes
 
 
+def _count_rows_by_sides_int(g, thread, layout):
+    """The side counter on the int drawing of layout, built as
+    `crossing_graph` builds it; a partial drawing raises KeyError for its
+    first missing vertex, as the reference does."""
+    points, _sx = layout_module._scaled_points([layout[v] for v in range(g.n)])
+    return layout_module._count_rows_by_sides(g, thread, points)
+
+
 def _count_rows_networkx(g, cover, layout=None):
     """`count_rows` as it was before a drawing could prove planarity and
     before the side counter ran on the int drawing: the networkx test on
@@ -595,10 +674,11 @@ def _rows_outcome(count, g, cover, layout):
 
 
 @settings(max_examples=600, deadline=None)
-@given(drawings(), st.data())
+@given(st.one_of(drawings(), convex_drawings()), st.data())
 def test_count_rows_matches_networkx_oracle_on_random_drawings(drawing, data):
     # degenerate drawings raise; crossing and non-planar ones fall back to
-    # networkx
+    # networkx, and `convex_drawings()` gives the crossing drawings of
+    # non-planar graphs that `drawings()` seldom does
     g, layout = drawing
     if isinstance(g, KnittingGraph):
         g = DirectedKnitGraph(g.n, tuple((u, w, R) for u, w in g.edges))
@@ -607,20 +687,6 @@ def test_count_rows_matches_networkx_oracle_on_random_drawings(drawing, data):
         assert _rows_outcome(count_rows, g, cover, drawn) == _rows_outcome(
             _count_rows_networkx, g, cover, drawn
         )
-
-
-@st.composite
-def convex_drawings(draw):
-    """A dense graph with its vertices on the parabola row = column^2, so
-    no three are collinear: the drawing crosses, is degenerate only where
-    three edges meet, and most such graphs are not planar, which
-    `drawings()` seldom gives."""
-    n = draw(st.integers(5, 8))
-    xs = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n, unique=True))
-    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
-    dropped = draw(st.lists(st.sampled_from(pairs), max_size=n // 2))
-    edges = tuple(p for p in pairs if p not in dropped)
-    return KnittingGraph(n, edges), {v: (x * x, Fraction(x)) for v, x in enumerate(xs)}
 
 
 def _planar_command(g, layout, path):
@@ -680,7 +746,7 @@ def test_side_counter_matches_fraction_reference_on_random_drawings(drawing, dat
     if isinstance(g, KnittingGraph):
         g = DirectedKnitGraph(g.n, tuple((u, w, R) for u, w in g.edges))
     thread = tuple(data.draw(st.permutations(range(g.n))))
-    assert _rows_outcome(layout_module._count_rows_by_sides, g, thread, layout) == (
+    assert _rows_outcome(_count_rows_by_sides_int, g, thread, layout) == (
         _rows_outcome(_count_rows_by_sides_fraction, g, thread, layout)
     )
 

@@ -169,6 +169,17 @@ def test_layout_column_with_an_exact_spelling_round_trips(col):
     assert parse_document(serialize_json(doc)).layout[1] == (1, col)
 
 
+def test_layout_int_column_is_read_as_an_int():
+    # an int column is its own exact rational; any other column is a Fraction
+    text = ('{"n": 3, "directed": true, "edges": [], '
+            '"layout": {"0": [0, 2], "1": [0, 2.0], "2": [1, -0.25]}}')
+    layout = parse_document(text).layout
+    assert [type(col) for _row, col in layout.values()] == [int, Fraction, Fraction]
+    assert layout == {0: (0, Fraction(2)), 1: (0, 2), 2: (1, Fraction(-1, 4))}
+    doc = GraphDocument(DirectedKnitGraph(3, ()), layout)
+    assert parse_document(serialize_json(doc)).layout == layout
+
+
 def test_layout_column_without_an_exact_spelling_is_refused():
     # 1/3 would be written as 0.3333333333333333 and read back as a different column
     layout = {0: (0, 0), 1: (1, Fraction(1, 3))}
