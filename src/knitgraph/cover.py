@@ -86,6 +86,13 @@ def build_flow_network(
     return _assemble_network(g, _threadable_roles(g, rule), k, k)
 
 
+def _refuse_purple(g: DirectedKnitGraph) -> None:
+    """PurplePresentError when g has a purple arc: the flow decisions and
+    the directed oracle have no purple rule."""
+    if EdgeColor.PURPLE in g.colors():
+        raise PurplePresentError()
+
+
 def _threadable_roles(
     g: DirectedKnitGraph, rule: RedRule
 ) -> list[frozenset[Role]]:
@@ -94,8 +101,7 @@ def _threadable_roles(
     Every decision checks in this order: PurplePresentError, then
     InfeasibleVertexError for the first vertex with no role.
     """
-    if EdgeColor.PURPLE in g.colors():
-        raise PurplePresentError()
+    _refuse_purple(g)
     return vertex_roles(g, rule)
 
 
@@ -318,13 +324,21 @@ def brute_force_knittable(
     undirected inputs are oriented per candidate cover, every edge from
     lower to higher position in the joined thread order, so thread edges
     run along their threads.
+
+    A directed input is refused as `decide_k_knittable` refuses it, and
+    before the size cap: NotADagError, then PurplePresentError. The roles
+    stay the witness check's own, so the oracle does not share
+    `vertex_roles` with the flow it checks.
     """
+    directed = isinstance(g, DirectedKnitGraph)
+    if directed:
+        topological_sort(g)
+        _refuse_purple(g)
     if g.n > cap:
         raise TooLargeError(g.n, cap)
     if k < 0:
         return None
 
-    directed = isinstance(g, DirectedKnitGraph)
     adj = g.out_adj() if directed else g.adj()
     for system in _iter_path_systems(g.n, adj, k):
         oriented = g

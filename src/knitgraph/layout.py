@@ -261,12 +261,16 @@ def crossing_graph(
 
 
 def _colored_drawing(g: DirectedKnitGraph, layout: Layout | None) -> CrossingGraph | None:
-    """The crossing graph of g's drawing, or None without one, for the
-    commands that read colors as well as a drawing.
+    """The crossing graph of g's drawing, or None without one: the gate of
+    `cable_width` and `count_rows`, which read colors as well as a drawing.
 
-    They refuse bad input in one order: a degenerate drawing raises
-    DegenerateLayoutError, then an uncolored arc raises
-    UncoloredPresentError, and only then may a planarity test run.
+    The commands that read a drawing refuse bad input in one order, each
+    check once: a degenerate drawing raises DegenerateLayoutError, then an
+    uncolored arc raises UncoloredPresentError, then (`count_rows` only) a
+    cover of other than one thread raises NotSingleThreadError, and only
+    then may a planarity test run. `classify_complexity` keeps the order
+    without this gate, leaving the colors to `check_coloring`, so it reads
+    them once.
     """
     cg = None if layout is None else crossing_graph(g, layout)
     if EdgeColor.UNCOLORED in g.colors():
@@ -317,10 +321,10 @@ def classify_complexity(
     with crossings is class 2 (cables, brioche), as is a non-planar graph.
     Otherwise the graph is class 0 when its coloring passes
     `check_coloring` for any thread count, and class 1 when only planarity
-    holds. Bad input is refused as `_colored_drawing` orders it.
+    holds. Bad input is refused in the order `_colored_drawing` states.
     """
-    cg = _colored_drawing(g, layout)
-    coloring = check_coloring(g, None, rule)
+    cg = None if layout is None else crossing_graph(g, layout)
+    coloring = check_coloring(g, None, rule)  # refuses an uncolored arc
     planar = is_planar_drawn(g, cg)
     links = () if cg is None else cg.links
     crossed = {g.edges[k][2] for link in links for k in link}
@@ -411,13 +415,12 @@ def count_rows(
     With a drawing, rows come from side switches of outgoing loop edges
     along the thread; without one, from the loop layering (each stitch one
     row above its loop parents). Stitches with no loop edges keep the
-    current row in both schemes. After the single-thread check, bad input
-    is refused as `_colored_drawing` orders it (neither scheme can tell a
-    loop without colors), and then a piece that `is_planar_drawn` finds
-    not planar.
+    current row in both schemes. Bad input is refused in the order
+    `_colored_drawing` states (neither scheme can tell a loop without
+    colors), a piece that `is_planar_drawn` finds not planar last.
     """
-    thread = single_thread(cover)
     cg = _colored_drawing(g, layout)
+    thread = single_thread(cover)
     if not is_planar_drawn(g, cg):
         raise NotPlanarLayoutError()
     if not thread:

@@ -12,6 +12,7 @@ fixtures anchor on cast-on or bind-off stitches and declare EXTENDED.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 
 from .cover import ThreadCover
@@ -31,24 +32,31 @@ STITCH_NAMES = ("yo", "kfb", "k2tog", "c1b")
 
 @dataclass(frozen=True)
 class Fixture:
-    """A generated pattern: colored graph, thread cover, drawing, yarn trace,
-    and the expected classification."""
+    """A generated pattern: colored graph, thread cover, drawing, and the
+    expected classification; the thread count and the yarn trace are read
+    off the graph and its cover."""
 
     name: str
     graph: DirectedKnitGraph
     cover: ThreadCover
     layout: Layout | None
-    yarn: YarnGraph
     expected_class: ComplexityClass
-    k: int
     rule: RedRule
+
+    @property
+    def k(self) -> int:
+        return len(self.cover)
+
+    @cached_property
+    def yarn(self) -> YarnGraph:
+        """The yarn trace, built on first read and kept."""
+        return yarn_from_threads(self.graph, self.cover)
 
 
 def _make_fixture(name, n, edges, layout, expected, rule, threads=None) -> Fixture:
     graph = DirectedKnitGraph(n, tuple(edges))
     cover: ThreadCover = threads if threads is not None else (tuple(range(n)),)
-    yarn = yarn_from_threads(graph, cover)
-    return Fixture(name, graph, cover, layout, yarn, expected, len(cover), rule)
+    return Fixture(name, graph, cover, layout, expected, rule)
 
 
 def gen_stockinette(rows: int, cols: int, round: bool = False) -> Fixture:

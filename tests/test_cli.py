@@ -12,7 +12,9 @@ import networkx as nx
 import pytest
 
 import knitgraph
-from knitgraph import cli, gen_stitch_fixture, gen_stockinette, serialize_json
+from knitgraph import (
+    cli, gen_brioche_maximal, gen_stitch_fixture, gen_stockinette, serialize_json,
+)
 from knitgraph.cli import build_parser, main
 
 
@@ -125,15 +127,18 @@ def test_rows(round33, capsys):
 UNCOLORED = "error: graph must be fully colored\n"
 
 
-def _uncolored_piece(tmp_path, capsys, drawing, pattern="stockinette"):
+def _uncolored_piece(tmp_path, capsys, drawing, pattern="stockinette", threads=True):
     """Flat 3x3, or another generated pattern, with its colors set to null
-    and its threads kept, with its drawing ("layout"), without one
-    ("none"), or with row 1 moved onto row 0 ("collapsed", degenerate)."""
+    and its threads kept (or `meta.threads` deleted), with its drawing
+    ("layout"), without one ("none"), or with row 1 moved onto row 0
+    ("collapsed", degenerate)."""
     flat = tmp_path / "flat.json"
     run(capsys, "gen", "--pattern", pattern, "--rows", "3", "--cols", "3", "-o", str(flat))
     doc = json.loads(flat.read_text())
     for edge in doc["edges"]:
         edge["color"] = None
+    if not threads:
+        del doc["meta"]["threads"]
     if drawing == "none":
         del doc["layout"]
     elif drawing == "collapsed":
@@ -144,16 +149,21 @@ def _uncolored_piece(tmp_path, capsys, drawing, pattern="stockinette"):
 
 
 @pytest.mark.parametrize(
-    "pattern, drawing",
-    [("stockinette", "layout"), ("stockinette", "none"), ("c1b", "layout")],
+    "pattern, drawing, threads",
+    [("stockinette", "layout", True), ("stockinette", "none", True),
+     ("c1b", "layout", True),
+     # without meta.threads the uncolored arcs read as 9 one-stitch
+     # threads: the missing colors are refused before the thread count
+     ("stockinette", "layout", False), ("stockinette", "none", False)],
     # c1b is not planar: the missing colors are refused before any
     # planarity test, as classify refuses them
-    ids=["layout", "no-layout", "c1b-not-planar"],
+    ids=["layout", "no-layout", "c1b-not-planar", "layout-no-threads",
+         "no-layout-no-threads"],
 )
-def test_rows_refuses_an_uncolored_piece(tmp_path, capsys, pattern, drawing):
+def test_rows_refuses_an_uncolored_piece(tmp_path, capsys, pattern, drawing, threads):
     # the side counter and the loop layering would each take other arcs
     # for loops
-    piece = _uncolored_piece(tmp_path, capsys, drawing, pattern)
+    piece = _uncolored_piece(tmp_path, capsys, drawing, pattern, threads)
     assert run(capsys, "rows", "--json", str(piece)) == (2, "", UNCOLORED)
 
 
@@ -424,17 +434,29 @@ def _collapsed_flat33():
     return doc
 
 
+def _collapsed_brioche6():
+    """Brioche-6, four threads in meta.threads, with vertex 1 moved onto
+    vertex 0."""
+    brioche = gen_brioche_maximal(6)
+    meta = {"k": brioche.k, "threads": [list(t) for t in brioche.cover]}
+    doc = json.loads(serialize_json(knitgraph.GraphDocument(brioche.graph, brioche.layout, meta)))
+    doc["layout"]["1"] = doc["layout"]["0"]
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc, fault",
     [
         (_collapsed_flat33(), "two vertices share a position"),
+        # a multi-thread piece: rows reports the drawing before the thread count
+        (_collapsed_brioche6(), "two vertices share a position"),
         (_drawn(3, [(0, 1), (1, 2)], [(0, 2)], [(0, 0), (0, 1), (0, 2)]), "vertex 1 lies on edge"),
         # (0, 3), (1, 4) and (2, 5) all pass through row 1, column 1
         (_drawn(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [(0, 3), (1, 4), (2, 5)],
                 [(0, 0), (0, 2), (1, 0), (2, 2), (2, 0), (1, 2)]),
          "three edges concurrent"),
     ],
-    ids=["shared-position", "vertex-on-edge", "concurrent"],
+    ids=["shared-position", "brioche-shared-position", "vertex-on-edge", "concurrent"],
 )
 def test_every_command_that_reads_a_drawing_refuses_a_degenerate_one(
     tmp_path, capsys, doc, fault
@@ -452,8 +474,9 @@ def test_every_command_that_reads_a_drawing_refuses_a_degenerate_one(
 
 
 @pytest.mark.parametrize(
-    "command", [["decide"], ["decide", "--sweep"], ["cover"], ["hamiltonian"]],
-    ids=["decide", "sweep", "cover", "hamiltonian"],
+    "command",
+    [["decide"], ["decide", "--sweep"], ["cover"], ["hamiltonian"], ["oracle", "--k", "1"]],
+    ids=["decide", "sweep", "cover", "hamiltonian", "oracle"],
 )
 def test_cycle_is_named_on_stderr(tmp_path, capsys, command):
     path = tmp_path / "cycle.json"

@@ -233,6 +233,24 @@ def test_oracle_cap():
         brute_force_knittable(chain(11), 1)
 
 
+def test_oracle_refuses_what_decide_refuses():
+    # 0 -> 1 -> 2 -> 3 -> 0 with chords 0 -> 2 and 1 -> 3: a one-thread
+    # "witness" exists if the cycle is not refused first
+    cyclic = DirectedKnitGraph(4, tuple(
+        (s, d, U) for s, d in ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3))
+    ))
+    flat23 = gen_stockinette(2, 3).graph  # a one-thread piece with purple turns
+    cyclic_purple = DirectedKnitGraph(3, ((0, 1, EdgeColor.PURPLE), (1, 2, U), (2, 0, U)))
+    flat34 = gen_stockinette(3, 4).graph  # 12 vertices: purple before the cap
+    for g, error in ((cyclic, NotADagError), (flat23, PurplePresentError),
+                     (cyclic_purple, NotADagError), (flat34, PurplePresentError)):
+        for k in (-1, 0, 1, 2):
+            with pytest.raises(error):
+                decide_k_knittable(g, k)
+            with pytest.raises(error):
+                brute_force_knittable(g, k)
+
+
 def test_oracle_red_direction_follows_thread_order():
     # path 0-1-2-3 plus the two loop chords of a 2x2 round piece
     g = KnittingGraph(4, ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3)))

@@ -162,6 +162,19 @@ def test_seed_documents_are_answered(doc_path):
         _check_contract(doc_path)
 
 
+def test_oracle_refuses_a_seed_exactly_when_decide_does(doc_path):
+    refused = 0
+    for doc in SEEDS:
+        doc_path.write_text(json.dumps(doc))
+        decided = _run(["decide", "--k", "1", "--json", str(doc_path)])
+        checked = _run(["oracle", "--k", "1", "--json", str(doc_path)])
+        assert (decided[0] == 2) == (checked[0] == 2), doc
+        if decided[0] == 2:
+            refused += 1
+            assert checked[2] == decided[2], doc  # the same refusal
+    assert refused == 2  # the purple kfb piece and the multigraph
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(doc=mutated_documents())
 def test_mutated_documents_keep_the_exit_code_contract(doc_path, doc):

@@ -509,6 +509,29 @@ def test_classify_fixture_expectations():
         assert classify_complexity(f.graph, None, f.rule).planar == planar, f.name
 
 
+def test_classify_reads_the_colors_once(monkeypatch):
+    calls = []
+    colors = DirectedKnitGraph.colors
+
+    def counted(self):
+        calls.append(self)
+        return colors(self)
+
+    monkeypatch.setattr(DirectedKnitGraph, "colors", counted)
+    uncolored = gen_stockinette(3, 3)
+    uncolored = DirectedKnitGraph(9, tuple((s, d, U) for s, d, _ in uncolored.graph.edges))
+    for f in all_fixtures():
+        for layout in (f.layout, None):
+            calls.clear()
+            classify_complexity(f.graph, layout, f.rule)
+            assert len(calls) == 1, f.name
+    for layout in (gen_stockinette(3, 3).layout, None):
+        calls.clear()
+        with pytest.raises(UncoloredPresentError):
+            classify_complexity(uncolored, layout)
+        assert len(calls) == 1
+
+
 def test_classify_star_stitch_like_is_class1():
     # planar, valid thread, but the hub passes through two and is passed by two
     g = DirectedKnitGraph(

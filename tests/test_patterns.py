@@ -119,6 +119,7 @@ def test_fixture_yarn_is_derived_from_threads():
     for f in all_fixtures():
         assert f.yarn == yarn_from_threads(f.graph, f.cover), f.name
         assert reduce_yarn_to_directed(f.yarn) == f.graph, f.name
+        assert f.yarn is f.yarn and f.k == len(f.cover), f.name  # built once
 
 
 def test_emit_flat_2x3():
