@@ -16,7 +16,7 @@ pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -35,6 +35,7 @@ from .graphs import (
     EdgeColor,
     KnittingGraph,
     component_labels,
+    topological_sort,
 )
 from .serialize import Layout
 
@@ -73,14 +74,11 @@ def is_planar_drawn(g: DirectedKnitGraph, cg: CrossingGraph | None) -> bool:
 class CrossingGraph:
     """Edges of the drawing as nodes, proper segment crossings as links.
 
-    Node i is edge i of the graph, in its edge order. `points` is the int
-    drawing the links were found on (see `_scaled_points`), vertex v at
-    points[v]; it is empty for a crossing graph built without a drawing.
+    Node i is edge i of the graph, in its edge order.
     """
 
     edge_pairs: tuple[tuple[int, int], ...]
     links: tuple[tuple[int, int], ...]  # index pairs into edge_pairs, i < j
-    points: tuple[tuple[int, int], ...] = field(default=(), compare=False, repr=False)
 
     def max_component_links(self) -> int:
         """Largest link count of a connected component, 0 without links."""
@@ -257,7 +255,7 @@ def crossing_graph(
             raise DegenerateLayoutError(
                 _unscale(cross[:2], sx, cross[2]), "three edges concurrent"
             )
-    return CrossingGraph(tuple(pairs), tuple(links), tuple(points))
+    return CrossingGraph(tuple(pairs), tuple(links))
 
 
 def _colored_drawing(g: DirectedKnitGraph, layout: Layout | None) -> CrossingGraph | None:
@@ -267,10 +265,10 @@ def _colored_drawing(g: DirectedKnitGraph, layout: Layout | None) -> CrossingGra
     The commands that read a drawing refuse bad input in one order, each
     check once: a degenerate drawing raises DegenerateLayoutError, then an
     uncolored arc raises UncoloredPresentError, then (`count_rows` only) a
-    cover of other than one thread raises NotSingleThreadError, and only
-    then may a planarity test run. `classify_complexity` keeps the order
-    without this gate, leaving the colors to `check_coloring`, so it reads
-    them once.
+    cover of other than one thread raises NotSingleThreadError and a cycle
+    NotADagError, and only then may a planarity test run.
+    `classify_complexity` keeps the order without this gate, leaving the
+    colors to `check_coloring`, so it reads them once.
     """
     cg = None if layout is None else crossing_graph(g, layout)
     if EdgeColor.UNCOLORED in g.colors():
@@ -349,38 +347,6 @@ def single_thread(cover) -> tuple[int, ...]:
     return tuple(cover[0])
 
 
-def _count_rows_by_sides(
-    g: DirectedKnitGraph, thread: tuple[int, ...], points: tuple[tuple[int, int], ...]
-) -> int:
-    """Side-switch row count on the int drawing (vertex v at points[v]):
-    classify each outgoing loop edge as left or right of the local thread
-    direction; every switch, including the very first signal after
-    cast-on, opens a row."""
-    out_adj = g.out_adj()
-    changes = 0
-    side = 0
-    for i, v in enumerate(thread):
-        nxt = thread[i + 1] if i + 1 < len(thread) else None
-        # the thread direction b - a, with v at a or at b, so the side of
-        # the loop vector w - v is orient(a, b, w)
-        if nxt is not None:
-            a, b = points[v], points[nxt]
-        elif i > 0:
-            a, b = points[thread[i - 1]], points[v]
-        else:
-            continue  # one-stitch thread: no direction, one row
-        for w in out_adj[v]:  # heads ascending, as the edges are sorted
-            if w == nxt:
-                continue  # thread edge, not a loop
-            s = _orient(a, b, points[w])
-            if s == 0:
-                continue  # ambiguous: keep the current row
-            if s != side:
-                changes += 1
-                side = s
-    return 1 + changes
-
-
 def loop_parents(g: DirectedKnitGraph, thread: tuple[int, ...]) -> dict[int, list[int]]:
     """The tails of the loop arcs (red and purple) into each stitch of the
     thread, ascending as the edges are sorted."""
@@ -410,23 +376,24 @@ def row_layers(g: DirectedKnitGraph, thread: tuple[int, ...]) -> list[int]:
 def count_rows(
     g: DirectedKnitGraph, cover, layout: Layout | None = None
 ) -> int:
-    """Number of knit rows of a single-thread planar piece.
+    """Number of knit rows of a single-thread planar piece: one more than
+    the last row of `row_layers`, where each stitch sits one row above its
+    loop parents and a stitch with no loop edges keeps the current row.
 
-    With a drawing, rows come from side switches of outgoing loop edges
-    along the thread; without one, from the loop layering (each stitch one
-    row above its loop parents). Stitches with no loop edges keep the
-    current row in both schemes. Bad input is refused in the order
-    `_colored_drawing` states (neither scheme can tell a loop without
-    colors), a piece that `is_planar_drawn` finds not planar last.
+    The count reads only the graph and its thread, so a piece counts the
+    same with or without a drawing; a drawing is read only to refuse it or
+    to prove planarity. Bad input is refused in the order
+    `_colored_drawing` states (without colors no loop can be told from a
+    thread step), a cycle (NotADagError) before the planarity test, and a
+    piece that `is_planar_drawn` finds not planar last.
     """
     cg = _colored_drawing(g, layout)
     thread = single_thread(cover)
+    topological_sort(g)  # the layering would skip a loop arc back along the thread
     if not is_planar_drawn(g, cg):
         raise NotPlanarLayoutError()
     if not thread:
         return 0
-    if cg is not None:
-        return _count_rows_by_sides(g, thread, cg.points)
     return row_layers(g, thread)[-1] + 1
 
 

@@ -488,6 +488,24 @@ def test_cycle_is_named_on_stderr(tmp_path, capsys, command):
     )
 
 
+@pytest.mark.parametrize("drawn", [True, False], ids=["layout", "no-layout"])
+def test_rows_names_the_cycle_as_decide_does(tmp_path, capsys, drawn):
+    # one thread 0 -> 1 -> 2 and a loop back from 2 to 0, colored, so rows
+    # gets past its color and thread checks to the cycle
+    doc = {"n": 3, "directed": True, "edges": [
+        {"src": 0, "dst": 1, "color": "blue"},
+        {"src": 1, "dst": 2, "color": "blue"},
+        {"src": 2, "dst": 0, "color": "red"},
+    ]}
+    if drawn:
+        doc["layout"] = {"0": [0, 0], "1": [0, 1], "2": [1, 0]}
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(doc))
+    _code, _out, decide_err = run(capsys, "decide", str(path))
+    assert decide_err == "error: graph is not a DAG: cycle 0 -> 1 -> 2 -> 0\n"
+    assert run(capsys, "rows", "--json", str(path)) == (2, "", decide_err)
+
+
 def _yarn_doc(tmp_path):
     path = tmp_path / "yarn-min.json"
     edges = [(0, 1), (1, 0), (0, 1), (1, 2)]

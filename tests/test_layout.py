@@ -34,6 +34,7 @@ from knitgraph import (
     gen_stockinette,
     is_planar,
     serialize_json,
+    topological_sort,
     underlying_knitting_graph,
 )
 from knitgraph import cli
@@ -629,63 +630,47 @@ def test_count_rows_rejects_nonplanar():
         count_rows(g, (tuple(range(5)),), None)
 
 
-def _count_rows_by_sides_fraction(g, thread, layout):
-    """Reference side counter on the unscaled drawing in `Fraction`s: each
-    loop vector w - v against the thread direction at v, heads in
-    ascending order."""
-    points = {v: _point(layout, v) for v in range(g.n)}
-    out_adj = g.out_adj()
-    zero = (Fraction(0), Fraction(0))
-    changes = 0
-    side = 0
-    for i, v in enumerate(thread):
-        nxt = thread[i + 1] if i + 1 < len(thread) else None
-        prev = thread[i - 1] if i > 0 else None
-        if nxt is not None:
-            direction = (points[nxt][0] - points[v][0], points[nxt][1] - points[v][1])
-        elif prev is not None:
-            direction = (points[v][0] - points[prev][0], points[v][1] - points[prev][1])
-        else:
-            continue
-        for w in sorted(out_adj[v]):
-            if w == nxt:
-                continue
-            vec = (points[w][0] - points[v][0], points[w][1] - points[v][1])
-            s = _orient(zero, direction, vec)
-            if s == 0:
-                continue
-            if s != side:
-                changes += 1
-                side = s
-    return 1 + changes
+def _polar_drawing(r, c):
+    """Round r x c with row i on the circle of radius 100 (i + 1) and
+    column j at angle 2 pi j / c, rounded to ints: a plane drawing."""
+    return {
+        i * c + j: (round(100 * (i + 1) * math.sin(2 * math.pi * j / c)),
+                    round(100 * (i + 1) * math.cos(2 * math.pi * j / c)))
+        for i in range(r) for j in range(c)
+    }
 
 
-def _count_rows_by_sides_int(g, thread, layout):
-    """The side counter on the int drawing of layout, built as
-    `crossing_graph` builds it; a partial drawing raises KeyError for its
-    first missing vertex, as the reference does."""
-    points, _sx = layout_module._scaled_points([layout[v] for v in range(g.n)])
-    return layout_module._count_rows_by_sides(g, thread, points)
+@pytest.mark.parametrize("r, c", [(3, 4), (4, 6), (6, 7)])
+def test_count_rows_round_is_the_same_drawn_or_not(r, c):
+    # the grid drawing crosses itself on the graph's planar cylinder; the
+    # polar one is plane. Rows are a property of the graph and its thread.
+    f = gen_stockinette(r, c, round=True)
+    grid = {v: (v // c, v % c) for v in range(r * c)}
+    polar = _polar_drawing(r, c)
+    assert crossing_graph(f.graph, grid).links
+    assert crossing_graph(f.graph, polar).links == ()
+    for drawn in (None, grid, polar):
+        assert count_rows(f.graph, f.cover, drawn) == r
 
 
 def _count_rows_networkx(g, cover, layout=None):
-    """`count_rows` as it was before a drawing could prove planarity and
-    before the side counter ran on the int drawing: the networkx test on
-    every call, then the `Fraction` side counter. The oracle of both. A
-    degenerate drawing is refused first, by the brute-force crossing
-    graph, as every command that reads a drawing refuses it; an uncolored
-    arc is refused next, before the planarity test."""
-    thread = layout_module.single_thread(cover)
+    """`count_rows` as it was before a drawing could prove planarity: the
+    networkx test on every call. The oracle of its refusal order and its
+    count. A degenerate drawing is refused first, by the brute-force
+    crossing graph, as every command that reads a drawing refuses it; then
+    an uncolored arc, a cover of other than one thread and a cycle, each
+    before the planarity test. The count is the loop layering, drawn or
+    not."""
     if layout is not None:
         _crossing_graph_bruteforce(g, layout)
     if U in g.colors():
         raise UncoloredPresentError()
+    thread = layout_module.single_thread(cover)
+    topological_sort(g)
     if not is_planar(underlying_knitting_graph(g)):
         raise NotPlanarLayoutError()
     if not thread:
         return 0
-    if layout is not None:
-        return _count_rows_by_sides_fraction(g, thread, layout)
     return row_layers(g, thread)[-1] + 1
 
 
@@ -706,10 +691,12 @@ def test_count_rows_matches_networkx_oracle_on_random_drawings(drawing, data):
     if isinstance(g, KnittingGraph):
         g = DirectedKnitGraph(g.n, tuple((u, w, R) for u, w in g.edges))
     cover = (tuple(data.draw(st.permutations(range(g.n)))),)
+    outcomes = []
     for drawn in (layout, None):
-        assert _rows_outcome(count_rows, g, cover, drawn) == _rows_outcome(
-            _count_rows_networkx, g, cover, drawn
-        )
+        outcomes.append(_rows_outcome(count_rows, g, cover, drawn))
+        assert outcomes[-1] == _rows_outcome(_count_rows_networkx, g, cover, drawn)
+    # a drawing never changes the count; it can only be refused
+    assert outcomes[0] == outcomes[1] or outcomes[0][0] is DegenerateLayoutError
 
 
 def _planar_command(g, layout, path):
@@ -758,20 +745,6 @@ def test_classify_and_planar_agree_with_networkx_on_random_drawings(
         # `planar` reads it, so only a full drawing goes to the command
         if drawn is None or len(drawn) == g.n:
             assert _planar_command(g, drawn, path) == expected
-
-
-@settings(max_examples=400, deadline=None)
-@given(drawings(), st.data())
-def test_side_counter_matches_fraction_reference_on_random_drawings(drawing, data):
-    # every drawing, degenerate and partial ones included, although
-    # `count_rows` refuses a degenerate drawing before it counts sides
-    g, layout = drawing
-    if isinstance(g, KnittingGraph):
-        g = DirectedKnitGraph(g.n, tuple((u, w, R) for u, w in g.edges))
-    thread = tuple(data.draw(st.permutations(range(g.n))))
-    assert _rows_outcome(_count_rows_by_sides_int, g, thread, layout) == (
-        _rows_outcome(_count_rows_by_sides_fraction, g, thread, layout)
-    )
 
 
 def test_count_rows_matches_networkx_oracle_on_fixtures():
@@ -903,8 +876,9 @@ def test_random_grid_subgraphs_planar(rng):
 def test_class0_fixture_invariants():
     """Every generated class-0 fixture: planar, crossing-free drawing,
     simple embedding, and the expected row count. Round pieces are
-    cylinders: they have no plane drawing and are checked on the abstract
-    clauses only."""
+    generated without a drawing, so they are checked on the abstract
+    clauses only; `test_count_rows_round_is_the_same_drawn_or_not` gives
+    them a plane one."""
     from knitgraph import all_fixtures
 
     expected_rows = {
